@@ -15,6 +15,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from datetime import date
 
@@ -438,7 +439,7 @@ class Metrics:
 
 
 def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
-    """MSE, MAE, and MAPE (as a fraction, |err|/actual) on matching vectors.
+    """MSE, MAE, and MAPE (as a fraction, mean |err|/|actual|) on matching vectors.
 
     A zero actual makes MAPE undefined; the raised error still carries
     the MSE/MAE that remain well defined.
@@ -454,7 +455,7 @@ def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
     mae = float(np.mean(np.abs(err)))
     if np.any(actual == 0.0):
         raise MapeUndefinedError("MAPE undefined: an actual value is zero", mse=mse, mae=mae)
-    mape = float(np.mean(np.abs(err) / actual))
+    mape = float(np.mean(np.abs(err) / np.abs(actual)))
     return Metrics(mse=mse, mae=mae, mape=mape)
 
 
@@ -722,6 +723,8 @@ def select_panel_features(
     default lambda is n (heavy shrinkage), which pools weight across
     correlated features so whole clusters stay significant. SCAD selects
     its nonzero support at a validation-tuned lambda unless one is fixed.
+    A SCAD fit that stops at its sweep limit unconverged raises a
+    RuntimeWarning naming lambda and the sweep count.
     """
     x, y, names = lagged_design(frame, lag)
     n = len(y)
@@ -743,6 +746,12 @@ def select_panel_features(
         lasso = regsel.penalized_fit(x, y, regsel.PenaltySpec("lasso", float(scad_lambda), scad_a))
         scad = regsel.penalized_fit(
             x, y, regsel.PenaltySpec("scad", float(scad_lambda), scad_a), beta_init=lasso.beta
+        )
+    if not scad.converged:
+        warnings.warn(
+            f"SCAD fit at lambda={scad.penalty.lam:g} did not converge in {scad.iterations} sweeps; "
+            "its selection may be incomplete",
+            RuntimeWarning,
         )
     scad_report = regsel.select_features(scad, names, alpha, dataset_label="scad")
     return rr_report, scad_report

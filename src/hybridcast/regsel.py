@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.stats
+from scipy.linalg.blas import daxpy
 
 from . import numcore
 from .errors import (
@@ -126,7 +127,7 @@ def scad_threshold(z: float, lam: float, a: float = 3.7) -> float:
     """Univariate SCAD estimate given the unpenalized estimate z.
 
     Soft-thresholds small z, linearly relaxes the shrinkage on
-    (2*lam, a*lam], and returns z unchanged beyond a*lam; continuous in z.
+    (2*lam, a*lam), and returns z unchanged from a*lam on; continuous in z.
     The first branch uses the positive-part soft threshold, which is the
     continuous completion of the rule (a literal |z - lam| kink would
     break continuity at z = 0).
@@ -136,7 +137,7 @@ def scad_threshold(z: float, lam: float, a: float = 3.7) -> float:
     az = abs(z)
     if az <= 2.0 * lam:
         return soft_threshold(z, lam)
-    if az <= a * lam:
+    if az < a * lam:  # at |z| = a*lam this branch equals z only up to rounding
         return ((a - 1.0) * z - math.copysign(a * lam, z)) / (a - 2.0)
     return z
 
@@ -291,10 +292,15 @@ def estimator_mse_diagnostic(fit: RegressionFit) -> float:
 
 
 def _objective(resid_sq_sum: float, beta: np.ndarray, penalty: PenaltySpec, n: int) -> float:
+    lam, b = penalty.lam, np.abs(beta)
     if penalty.kind == "lasso":
-        pen = penalty.lam * float(np.sum(np.abs(beta)))
+        pen = lam * float(np.sum(b))
     else:
-        pen = sum(scad_penalty(abs(float(b)), penalty.lam, penalty.a) for b in beta)
+        # scad_penalty's three branches, evaluated for all coefficients at once
+        a = penalty.a
+        blend = -(b * b - 2.0 * a * lam * b + lam * lam) / (2.0 * (a - 1.0))
+        cap = (a + 1.0) * lam * lam / 2.0
+        pen = float(np.sum(np.where(b < lam, lam * b, np.where(b < a * lam, blend, cap))))
     return resid_sq_sum / (2.0 * n) + pen
 
 
@@ -306,11 +312,16 @@ def penalized_fit(
     max_iter: int = 1000,
     beta_init: np.ndarray | None = None,
 ) -> RegressionFit:
-    """Lasso or SCAD fit by cyclic coordinate descent.
+    """Lasso or SCAD fit by cyclic coordinate descent with covariance updates.
 
     Each coordinate update solves its univariate subproblem exactly
     (soft_threshold resp. scad_threshold applied to the partial-residual
     estimate), so the objective is non-increasing sweep over sweep.
+    The partial-residual estimate comes from the correlations
+    g = xs'r/n, kept current through the Gram matrix G = xs'xs/n
+    (Friedman, Hastie & Tibshirani 2010), so an update costs O(m)
+    rather than O(n); the residual itself is recomputed once per sweep
+    for the objective history.
     Convergence is declared when no standardized coefficient moves more
     than `tol` in a sweep; hitting max_iter returns converged=False
     rather than raising.
@@ -337,28 +348,38 @@ def penalized_fit(
             raise ShapeError(f"beta_init has {beta_init.shape[0]} entries, expected {m}")
         beta[active] = beta_init[active] * x_sd[active]
 
+    gram = xs.T @ xs
+    cov_rows = list(gram / n)
     resid = yc - xs @ beta
+    g = xs.T @ resid / n
     lam, a = penalty.lam, penalty.a
-    active_idx = np.nonzero(active)[0]
-    cols = [xs[:, j] for j in active_idx]
+    if penalty.kind == "lasso":
+        def rule(z):
+            return soft_threshold(z, lam)
+    else:
+        def rule(z):
+            return scad_threshold(z, lam, a)
+    active_idx = np.nonzero(active)[0].tolist()
+    # the scalar loop runs on Python floats: NumPy scalar arithmetic is slower
+    coef = beta.tolist()
 
     history = [_objective(float(resid @ resid), beta, penalty, n)]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         max_delta = 0.0
-        for k, j in enumerate(active_idx):
-            col = cols[k]
-            old = beta[j]
-            z = float(col @ resid) / n + old
-            if penalty.kind == "lasso":
-                new = soft_threshold(z, lam)
-            else:
-                new = scad_threshold(z, lam, a)
+        for j in active_idx:
+            old = coef[j]
+            new = rule(g.item(j) + old)
             if new != old:
-                resid -= col * (new - old)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
+                delta = new - old
+                # g -= G[j] * delta as one BLAS call without a temporary, about
+                # 3x cheaper than the NumPy expression at m = 53
+                g = daxpy(cov_rows[j], g, a=-delta)
+                coef[j] = new
+                max_delta = max(max_delta, abs(delta))
+        beta = np.array(coef)
+        resid = yc - xs @ beta
         obj = _objective(float(resid @ resid), beta, penalty, n)
         if obj > history[-1] + 1e-10 * max(1.0, abs(history[-1])):
             # exact coordinate minimization should never do this; flags
@@ -381,7 +402,6 @@ def penalized_fit(
     rss = float(resid @ resid)
     dof = max(n - len(support) - 1, 1)
     sigma2 = rss / dof
-    gram = xs.T @ xs
     eigs = numcore.sym_eigenvalues(gram)
 
     return RegressionFit(

@@ -264,6 +264,10 @@ class TestEvaluate:
         assert exc.value.mse == pytest.approx((1.0 + 1.0) / 2.0)
         assert exc.value.mae == pytest.approx(1.0)
 
+    def test_mape_divides_by_absolute_actual(self):
+        m = evaluate(np.array([1.0, 1.0]), np.array([-2.0, 2.0]))
+        assert m.mape == pytest.approx(1.0)
+
     def test_length_mismatch(self):
         with pytest.raises(Exception):
             evaluate(np.array([1.0]), np.array([1.0, 2.0]))
@@ -360,3 +364,16 @@ class TestCompareVariants:
         empty = pipeline.SelectionReport(rows=[], penalty=rr.penalty, dataset_label="scad")
         with pytest.raises(ParameterError):
             pipeline.compare_variants(frame, rr, empty, tiny_train_config(), seeds=[1])
+
+
+class TestSelectPanelFeatures:
+    def test_unconverged_scad_fit_warns(self, small_panel, monkeypatch):
+        frame, _ = small_panel
+        fit = pipeline.regsel.penalized_fit
+
+        def one_sweep(x, y, penalty, tol=1e-7, max_iter=1000, beta_init=None):
+            return fit(x, y, penalty, tol, 1, beta_init=beta_init)
+
+        monkeypatch.setattr(pipeline.regsel, "penalized_fit", one_sweep)
+        with pytest.warns(RuntimeWarning, match=r"lambda=0\.05 did not converge in 1 sweeps"):
+            pipeline.select_panel_features(frame, scad_lambda=0.05)

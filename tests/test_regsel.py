@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hybridcast import regsel
 from hybridcast.errors import IllConditioningError, ParameterError, SingularityError
@@ -193,6 +193,7 @@ class TestScadThreshold:
         st.floats(0.01, 10),
         st.floats(2.01, 10),
     )
+    @example(2.01, 1.0, 2.01)  # |z| = a*lam exactly: must return z, not z*(1+1e-14)
     def test_odd_nonexpansive_identity(self, z, lam, a):
         out = regsel.scad_threshold(z, lam, a)
         assert regsel.scad_threshold(-z, lam, a) == pytest.approx(-out, abs=1e-12)
@@ -301,6 +302,78 @@ class TestPenalizedFit:
                     assert abs(corr[j]) <= lam + 1e-8
                 else:
                     assert corr[j] == pytest.approx(lam * np.sign(beta_std[j]), abs=1e-8)
+
+
+    def test_scad_objective_non_increasing(self, rng):
+        x = 0.6 * rng.standard_normal((80, 1)) + rng.standard_normal((80, 10))
+        y = x @ rng.standard_normal(10) + rng.standard_normal(80)
+        lasso = regsel.penalized_fit(x, y, PenaltySpec("lasso", 0.05))
+        fit = regsel.penalized_fit(x, y, PenaltySpec("scad", 0.05), beta_init=lasso.beta)
+        for f in (fit, regsel.penalized_fit(x, y, PenaltySpec("scad", 0.05))):
+            hist = np.array(f.objective_history)
+            assert np.all(np.diff(hist) <= 1e-10 * np.maximum(1.0, np.abs(hist[:-1])))
+
+    def test_vectorised_scad_objective_matches_scalar_penalty(self, rng):
+        lam, a = 0.4, 3.7
+        beta = np.concatenate([
+            rng.uniform(-2.0, 2.0, 40),
+            [0.0, lam, -lam, 2 * lam, a * lam, -a * lam, np.nextafter(a * lam, 0.0)],
+        ])
+        got = regsel._objective(0.0, beta, PenaltySpec("scad", lam, a), n=1)
+        expected = sum(regsel.scad_penalty(abs(b), lam, a) for b in beta)
+        assert got == pytest.approx(expected, rel=1e-13)
+
+
+def residual_update_cd(x, y, penalty, tol=1e-7, max_iter=1000, beta_init=None):
+    """Plain cyclic coordinate descent that keeps the residual, O(n) per update.
+
+    Same standardization, sweep order and stopping rule as penalized_fit;
+    returns (coefficients on the input scale, sweeps).
+    """
+    n, m = x.shape
+    x_sd = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2, axis=0))
+    xs = (x - x.mean(axis=0)) / x_sd
+    beta = np.zeros(m) if beta_init is None else beta_init * x_sd
+    resid = (y - y.mean()) - xs @ beta
+    for sweeps in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j in range(m):
+            old = beta[j]
+            z = float(xs[:, j] @ resid) / n + old
+            if penalty.kind == "lasso":
+                new = regsel.soft_threshold(z, penalty.lam)
+            else:
+                new = regsel.scad_threshold(z, penalty.lam, penalty.a)
+            if new != old:
+                resid -= xs[:, j] * (new - old)
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            break
+    return beta / x_sd, sweeps
+
+
+class TestCovarianceUpdates:
+    """penalized_fit against the residual-update reference on correlated designs."""
+
+    @pytest.mark.parametrize("kind", ["lasso", "scad"])
+    def test_matches_residual_update_reference(self, rng, kind):
+        for trial in range(4):
+            n, m = 150, 12
+            x = 0.7 * rng.standard_normal((n, 1)) + rng.standard_normal((n, m))
+            x = x * rng.uniform(0.5, 3.0, m) + rng.uniform(-2.0, 2.0, m)
+            y = x[:, :4] @ rng.standard_normal(4) + rng.standard_normal(n)
+            lmax = regsel.lambda_max(x, y)
+            for lam in (0.5 * lmax, 0.1 * lmax, 0.02 * lmax):
+                penalty = PenaltySpec(kind, lam)
+                warm = None
+                if kind == "scad":
+                    warm = regsel.penalized_fit(x, y, PenaltySpec("lasso", lam)).beta
+                fit = regsel.penalized_fit(x, y, penalty, beta_init=warm)
+                ref_beta, ref_sweeps = residual_update_cd(x, y, penalty, beta_init=warm)
+                assert fit.support == tuple(np.nonzero(ref_beta)[0])
+                assert fit.iterations == ref_sweeps
+                assert np.max(np.abs(fit.beta - ref_beta)) <= 1e-12
 
 
 class TestTunePenalized:
