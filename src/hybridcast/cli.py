@@ -211,6 +211,7 @@ def cmd_train(args) -> int:
         os.path.join(out, "train_metrics.json"),
         _metrics_dict(result.metrics, {"n_features": len(result.feature_names) - 1,
                                        "epochs": config.model.epochs,
+                                       "history": list(result.history),
                                        "final_train_loss": result.history[-1] if result.history else None}),
     )
     atomic_write_text(

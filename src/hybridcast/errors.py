@@ -74,8 +74,9 @@ class IllConditioningError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite (or absurdly large) batch loss."""
 
-    def __init__(self, message: str, epoch: int):
+    def __init__(self, message: str, epoch: int, batch: int):
         super().__init__(message)
         self.epoch = epoch
+        self.batch = batch

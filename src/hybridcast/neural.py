@@ -40,6 +40,31 @@ def receptive_field(kernel_size: int, dilation: int) -> int:
 # layers
 
 
+def _tap_offsets(dilation: int, h_out: int, w_out: int):
+    """(u, v, row slice, column slice) of each of the nine dilated taps."""
+    d = dilation
+    return [
+        (u, v, slice(u * d, u * d + h_out), slice(v * d, v * d + w_out))
+        for u in range(KERNEL_SIZE)
+        for v in range(KERNEL_SIZE)
+    ]
+
+
+def _dilated_taps(xp: np.ndarray, dilation: int, h_out: int, w_out: int) -> np.ndarray:
+    """Tap matrix (in*9, B*H'*W') of a padded input (B, in, H, W).
+
+    Row i*9 + u*3 + v holds the dilated tap xp[:, i, u*d : u*d+H', v*d : v*d+W']
+    flattened over (B, H', W'), so kernel.reshape(out, -1) @ taps is the
+    convolution with output columns in (B, H', W') order.
+    """
+    b, c_in = xp.shape[:2]
+    taps = np.empty((c_in * KERNEL_SIZE * KERNEL_SIZE, b * h_out * w_out))
+    blocks = taps.reshape(c_in, KERNEL_SIZE, KERNEL_SIZE, b, h_out, w_out)
+    for u, v, rows, cols in _tap_offsets(dilation, h_out, w_out):
+        blocks[:, u, v] = xp[:, :, rows, cols].transpose(1, 0, 2, 3)
+    return taps
+
+
 @dataclass
 class Conv2dLayer:
     """3x3 convolution with dilation, stride 1, zero padding.
@@ -79,14 +104,12 @@ class Conv2dLayer:
                 f"input {x.shape[2]}x{x.shape[3]} too small for kernel span "
                 f"{receptive_field(KERNEL_SIZE, self.dilation)} with padding {self.padding}"
             )
-        p, d = self.padding, self.dilation
+        p = self.padding
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        out = np.zeros((x.shape[0], self.kernel.shape[0], h_out, w_out))
-        out += self.bias.reshape(1, -1, 1, 1)
-        for u in range(KERNEL_SIZE):
-            for v in range(KERNEL_SIZE):
-                patch = xp[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
-                out += np.einsum("oi,bihw->bohw", self.kernel[:, :, u, v], patch, optimize=True)
+        taps = _dilated_taps(xp, self.dilation, h_out, w_out)
+        out = self.kernel.reshape(self.kernel.shape[0], -1) @ taps
+        out += self.bias[:, None]
+        out = out.reshape(-1, x.shape[0], h_out, w_out).transpose(1, 0, 2, 3)
         cache = {"xp": xp, "in_shape": x.shape, "out_shape": out.shape}
         return out, cache
 
@@ -97,17 +120,15 @@ class Conv2dLayer:
             raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {cache['out_shape']}")
         xp = cache["xp"]
         p, d = self.padding, self.dilation
-        _, _, h_out, w_out = grad_out.shape
-        grad_kernel = np.zeros_like(self.kernel)
+        _, c_out, h_out, w_out = grad_out.shape
+        go = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
+        kmat = self.kernel.reshape(c_out, -1)
+        grad_kernel = (go @ _dilated_taps(xp, d, h_out, w_out).T).reshape(self.kernel.shape)
+        blocks = (kmat.T @ go).reshape(xp.shape[1], KERNEL_SIZE, KERNEL_SIZE, xp.shape[0], h_out, w_out)
         grad_xp = np.zeros_like(xp)
-        for u in range(KERNEL_SIZE):
-            for v in range(KERNEL_SIZE):
-                patch = xp[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
-                grad_kernel[:, :, u, v] = np.einsum("bohw,bihw->oi", grad_out, patch, optimize=True)
-                grad_xp[:, :, u * d : u * d + h_out, v * d : v * d + w_out] += np.einsum(
-                    "oi,bohw->bihw", self.kernel[:, :, u, v], grad_out, optimize=True
-                )
-        grad_bias = grad_out.sum(axis=(0, 2, 3))
+        for u, v, rows, cols in _tap_offsets(d, h_out, w_out):
+            grad_xp[:, :, rows, cols] += blocks[:, u, v].transpose(1, 0, 2, 3)
+        grad_bias = go.sum(axis=1)
         h_in, w_in = cache["in_shape"][2], cache["in_shape"][3]
         grad_x = grad_xp[:, :, p : p + h_in, p : p + w_in]
         return grad_x, grad_kernel, grad_bias
@@ -172,26 +193,19 @@ def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState
     c = f*c_prev + i*z and the hidden output h = o*tanh(c).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    if squeeze:
-        x_t = x_t[None, :]
-    if x_t.shape[1] != params.input_size:
-        raise ShapeError(f"x_t has {x_t.shape[1]} features, params expect {params.input_size}")
-    h_prev = prev.h if prev.h.ndim == 2 else prev.h[None, :]
-    c_prev = prev.c if prev.c.ndim == 2 else prev.c[None, :]
-    if h_prev.shape[0] != x_t.shape[0]:
-        raise ShapeError(f"batch mismatch: h has {h_prev.shape[0]} rows, x_t {x_t.shape[0]}")
+    if x_t.ndim != 2 or x_t.shape[1] != params.input_size:
+        raise ShapeError(f"x_t must be (B, {params.input_size}), got {x_t.shape}")
+    if prev.h.shape[0] != x_t.shape[0]:
+        raise ShapeError(f"batch mismatch: h has {prev.h.shape[0]} rows, x_t {x_t.shape[0]}")
 
-    concat = np.concatenate([h_prev, x_t], axis=1)
+    concat = np.concatenate([prev.h, x_t], axis=1)
     f = sigmoid(concat @ params.w_f.T + params.b_f)
     i = sigmoid(concat @ params.w_i.T + params.b_i)
     z = np.tanh(concat @ params.w_g.T + params.b_g)
     o = sigmoid(concat @ params.w_o.T + params.b_o)
-    c = f * c_prev + i * z
+    c = f * prev.c + i * z
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    if squeeze:
-        return LstmState(h=h[0], c=c[0], f=f[0], i=i[0], z=z[0], o=o[0], concat=concat, tanh_c=tanh_c)
     return LstmState(h=h, c=c, f=f, i=i, z=z, o=o, concat=concat, tanh_c=tanh_c)
 
 

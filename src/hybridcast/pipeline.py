@@ -526,10 +526,11 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
     """Mini-batch Adam over config.epochs; returns per-epoch training MSE.
 
     Batches are reshuffled every epoch from the model's seeded rng; the
-    short final batch is kept. A non-finite (or absurdly large) epoch
-    loss raises DivergenceError naming the epoch; Adam's stepwise-bounded
-    updates mean explosions show up as huge finite losses well before any
-    float overflow.
+    short final batch is kept. A non-finite (or absurdly large) batch
+    loss raises DivergenceError naming the epoch and the batch, before
+    that batch updates the weights; Adam's stepwise-bounded updates mean
+    explosions show up as huge finite losses well before any float
+    overflow.
     """
     cfg = model.config
     n = len(targets)
@@ -540,17 +541,18 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
     for epoch in range(cfg.epochs):
         order = model.rng.permutation(n)
         total = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             preds, cache = model.forward(inputs[idx])
             loss, grad = mse_loss(preds, targets[idx])
+            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, batch {batch}", epoch=epoch, batch=batch
+                )
             grads, _ = model.backward(cache, grad)
             adam_step(state, model.params, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
             total += loss * len(idx)
-        epoch_loss = total / n
-        if not math.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LOSS:
-            raise DivergenceError(f"training diverged at epoch {epoch}", epoch=epoch)
-        history.append(epoch_loss)
+        history.append(total / n)
     return history
 
 

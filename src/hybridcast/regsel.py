@@ -60,7 +60,9 @@ class RegressionFit:
 
     beta/beta0 are on the scale of the x/y passed in; `gram` is the
     (centered or standardized) feature Gram matrix the slope covariance
-    is based on, with `dof` residual degrees of freedom.
+    is based on, with `dof` residual degrees of freedom. Ridge and OLS
+    fits carry the slope t statistics and p-values of _slope_inference;
+    sparse fits leave them None.
     """
 
     beta: np.ndarray
@@ -75,6 +77,8 @@ class RegressionFit:
     dof: int
     gram: np.ndarray
     objective_history: list[float] = field(default_factory=list)
+    t_stats: np.ndarray | None = None
+    p_values: np.ndarray | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = numcore.as_matrix(x, "x")
@@ -219,6 +223,8 @@ def ols_fit(x, y, intercept: bool = True) -> RegressionFit:
         n_obs=n,
         dof=dof,
         gram=gram,
+        t_stats=t,
+        p_values=p,
     )
 
 
@@ -267,6 +273,8 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
         n_obs=n,
         dof=dof,
         gram=gram,
+        t_stats=t,
+        p_values=p,
     )
 
 
@@ -605,8 +613,7 @@ def select_features(
         for j, name in enumerate(names):
             rows.append(SelectionRow(name, float(coefs[j]), None, None, j in in_support))
     else:
-        lam = fit.penalty.lam if fit.penalty.kind == "ridge" else 0.0
-        t, p = _slope_inference(fit.beta, fit.gram, lam, fit.sigma2_hat, fit.dof)
+        t, p = fit.t_stats, fit.p_values
         for j, name in enumerate(names):
             rows.append(SelectionRow(name, float(coefs[j]), float(t[j]), float(p[j]), bool(p[j] < alpha)))
     return SelectionReport(rows=rows, penalty=fit.penalty, dataset_label=dataset_label, alpha=alpha)

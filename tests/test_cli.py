@@ -125,6 +125,16 @@ class TestTrainEvaluateCommands:
         for key in ("mse", "mae", "mape"):
             assert eval_metrics[key] == train_metrics[key]
 
+    def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
+        out = str(tmp_path / "o")
+        run("select", "--config", tiny_config, "--out", out)
+        assert run("train", "--config", tiny_config, "--out", out, "--epochs", "3") == 0
+        written = json.load(open(os.path.join(out, "train_metrics.json")))
+        assert written["epochs"] == 3
+        assert len(written["history"]) == 3
+        assert all(isinstance(v, float) and v >= 0 for v in written["history"])
+        assert written["final_train_loss"] == written["history"][-1]
+
     def test_train_rerun_byte_identical(self, tiny_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):

@@ -35,13 +35,13 @@ class TestReceptiveField:
             receptive_field(3, 0)
 
 
-def reference_conv2d(kernel, bias, x, padding):
-    """Direct nested-loop convolution (dilation 1), as an independent oracle."""
+def reference_conv2d(kernel, bias, x, padding, dilation=1):
+    """Direct nested-loop dilated convolution, as an independent oracle."""
     out_c, in_c, k, _ = kernel.shape
     b, _, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = h + 2 * padding - (k - 1)
-    w_out = w + 2 * padding - (k - 1)
+    h_out = h + 2 * padding - dilation * (k - 1)
+    w_out = w + 2 * padding - dilation * (k - 1)
     out = np.zeros((b, out_c, h_out, w_out))
     for bi in range(b):
         for o in range(out_c):
@@ -51,9 +51,37 @@ def reference_conv2d(kernel, bias, x, padding):
                     for i in range(in_c):
                         for u in range(k):
                             for v in range(k):
-                                acc += kernel[o, i, u, v] * xp[bi, i, y + u, xx + v]
+                                acc += kernel[o, i, u, v] * xp[bi, i, y + u * dilation, xx + v * dilation]
                     out[bi, o, y, xx] = acc
     return out
+
+
+def per_tap_conv2d(kernel, bias, x, padding, dilation):
+    """Forward and backward as a sum of one einsum per dilated tap.
+
+    Returns (out, backward) where backward(grad_out) gives
+    (grad_x, grad_kernel, grad_bias).
+    """
+    k, d, p = kernel.shape[2], dilation, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    h_out = x.shape[2] + 2 * p - d * (k - 1)
+    w_out = x.shape[3] + 2 * p - d * (k - 1)
+    taps = [(u, v, (slice(None), slice(None), slice(u * d, u * d + h_out), slice(v * d, v * d + w_out)))
+            for u in range(k) for v in range(k)]
+    out = bias.reshape(1, -1, 1, 1) + sum(
+        np.einsum("oi,bihw->bohw", kernel[:, :, u, v], xp[view]) for u, v, view in taps
+    )
+
+    def backward(grad_out):
+        grad_kernel = np.zeros_like(kernel)
+        grad_xp = np.zeros_like(xp)
+        for u, v, view in taps:
+            grad_kernel[:, :, u, v] = np.einsum("bohw,bihw->oi", grad_out, xp[view])
+            grad_xp[view] += np.einsum("oi,bohw->bihw", kernel[:, :, u, v], grad_out)
+        grad_x = grad_xp[:, :, p : p + x.shape[2], p : p + x.shape[3]]
+        return grad_x, grad_kernel, grad_out.sum(axis=(0, 2, 3))
+
+    return out, backward
 
 
 class TestConv2d:
@@ -93,6 +121,58 @@ class TestConv2d:
         out, _ = conv.forward(x)
         ref = reference_conv2d(kernel, bias, x, padding=1)
         assert np.allclose(out, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("in_channels", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("pad", ["zero", "dilation"])
+    def test_dilated_matches_reference_oracle(self, d, pad, in_channels, rng):
+        padding = 0 if pad == "zero" else d
+        kernel = rng.standard_normal((3, in_channels, 3, 3))
+        bias = rng.standard_normal(3)
+        x = rng.standard_normal((2, in_channels, 8, 11))
+        out, _ = Conv2dLayer(kernel, bias, dilation=d, padding=padding).forward(x)
+        ref = reference_conv2d(kernel, bias, x, padding=padding, dilation=d)
+        assert out.shape == ref.shape == (2, 3, 8 + 2 * padding - 2 * d, 11 + 2 * padding - 2 * d)
+        assert np.allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_gradients_match_central_differences(self, rng):
+        """Two input channels, dilation 2: the model itself only ever has one."""
+        conv = Conv2dLayer(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3), dilation=2, padding=2)
+        x = rng.standard_normal((2, 2, 5, 6))
+        weights = rng.standard_normal((2, 3, 5, 6))
+        out, cache = conv.forward(x)
+        grad_x, grad_kernel, grad_bias = conv.backward(cache, weights)
+
+        def loss():
+            return float(np.sum(conv.forward(x)[0] * weights))
+
+        h = 1e-6
+        for arr, grad in ((x, grad_x), (conv.kernel, grad_kernel), (conv.bias, grad_bias)):
+            numeric = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                saved = arr[idx]
+                arr[idx] = saved + h
+                up = loss()
+                arr[idx] = saved - h
+                down = loss()
+                arr[idx] = saved
+                numeric[idx] = (up - down) / (2 * h)
+            assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    def test_parity_with_per_tap_einsum_at_training_shapes(self, rng):
+        """The tap-matrix GEMM equals a per-tap einsum sum at B=64, T=5, F=36, C=16, d=2,
+        to 1e-12 of the largest entry (the kernel gradient sums 11,520 products)."""
+        kernel = rng.standard_normal((16, 1, 3, 3))
+        bias = rng.standard_normal(16)
+        x = rng.standard_normal((64, 1, 5, 36))
+        grad_out = rng.standard_normal((64, 16, 5, 36))
+        conv = Conv2dLayer(kernel, bias, dilation=2, padding=2)
+        out, cache = conv.forward(x)
+        got = conv.backward(cache, grad_out)
+        ref_out, ref_backward = per_tap_conv2d(kernel, bias, x, padding=2, dilation=2)
+        for a, b in zip((out, *got), (ref_out, *ref_backward(grad_out))):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
     def test_backward_zero_grad(self, rng):
         conv = Conv2dLayer(rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2), 1, 1)
@@ -156,6 +236,11 @@ class TestLstm:
         params = zero_lstm(3, 2)
         with pytest.raises(ShapeError):
             lstm_step(params, np.zeros((1, 5)), lstm_zero_state(params, 1))
+
+    def test_unbatched_input_rejected(self):
+        params = zero_lstm(3, 2)
+        with pytest.raises(ShapeError):
+            lstm_step(params, np.zeros(2), lstm_zero_state(params, 1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -17,7 +17,7 @@ from hybridcast.errors import (
     ParameterError,
     ScalingError,
 )
-from hybridcast.neural import ModelConfig
+from hybridcast.neural import ForecastModel, ModelConfig
 from hybridcast.pipeline import (
     SeriesFragment,
     TimeSeriesFrame,
@@ -334,6 +334,21 @@ class TestTrainModel:
         with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore"):
             train_model(frame, None, cfg)
         assert exc.value.epoch >= 0
+        assert exc.value.batch >= 0
+
+    def test_divergence_names_the_batch(self, rng):
+        # one non-finite target poisons exactly the batch that draws it,
+        # which must stop training before the epoch ends
+        cfg = tiny_train_config(variant="lstm", epochs=2, batch_size=8)
+        inputs = rng.standard_normal((40, cfg.window, 3))
+        targets = rng.standard_normal(40)
+        targets[21] = np.nan
+        order = ForecastModel(cfg, n_features=3).rng.permutation(40)
+        expected = int(np.nonzero(order == 21)[0][0]) // cfg.batch_size
+        with pytest.raises(DivergenceError) as exc:
+            pipeline.fit_arrays(ForecastModel(cfg, n_features=3), inputs, targets)
+        assert (exc.value.epoch, exc.value.batch) == (0, expected)
+        assert f"epoch 0, batch {expected}" in str(exc.value)
 
     def test_selection_restricts_features(self, small_panel):
         frame, _ = small_panel

@@ -415,6 +415,25 @@ class TestSelectFeatures:
         selected = set(report.selected_names)
         assert {"a", "c"} <= selected
 
+    def test_ridge_report_reuses_fit_inference(self, rng, monkeypatch):
+        """The slope covariance is solved once, in ridge_fit; the report reads it."""
+        x = rng.standard_normal((80, 5))
+        y = x @ np.array([2.0, 0.0, -1.0, 0.0, 0.5]) + rng.standard_normal(80)
+        solves = []
+        real_solve = regsel.numcore.solve_spd
+        monkeypatch.setattr(regsel.numcore, "solve_spd", lambda a, b: solves.append(1) or real_solve(a, b))
+        fit = regsel.ridge_fit(x, y, lam=3.0)
+        assert len(solves) == 2  # the coefficients and the slope covariance
+        report = regsel.select_features(fit, list("abcde"), alpha=0.05, dataset_label="rr")
+        assert len(solves) == 2
+
+        w = np.linalg.inv(fit.gram + 3.0 * np.eye(5))
+        se = np.sqrt(np.diag(fit.sigma2_hat * w @ fit.gram @ w))
+        assert np.allclose(fit.t_stats, fit.beta / se, rtol=1e-10)
+        assert [r.t for r in report.rows] == [float(t) for t in fit.t_stats]
+        assert [r.p for r in report.rows] == [float(p) for p in fit.p_values]
+        assert report.selected_names == [n for n, p in zip("abcde", fit.p_values) if p < 0.05]
+
     def test_json_roundtrip(self, tmp_path):
         fit = RegressionFit(
             beta=np.array([0.5, 0.0]), beta0=0.1, penalty=PenaltySpec("lasso", 0.2),
