@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,7 +15,7 @@ import time
 
 from . import gradcheck as gradcheck_mod
 from . import neural, pipeline, synth
-from .config import ExperimentConfig, SelectionConfig, load_experiment_config, load_panel
+from .config import ExperimentConfig, load_experiment_config, load_panel
 from .errors import (
     ConfigError,
     DataError,
@@ -106,65 +107,38 @@ def _load_selection(path: str) -> SelectionReport:
         return SelectionReport.from_json_dict(json.load(fh))
 
 
-_RESET = object()  # marks "put the field back to its resolved default"
+def _override(obj, **flags):
+    """A copy of a config dataclass with every flag that was given; __post_init__ re-validates."""
+    return dataclasses.replace(obj, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _override_model(config: ExperimentConfig, **overrides) -> None:
-    """Apply flag overrides through the validating constructor."""
-    d = config.model.to_json_dict()
-    for key, value in overrides.items():
-        if value is _RESET:
-            d[key] = None
-        elif value is not None:
-            d[key] = value
-    config.model = neural.ModelConfig.from_json_dict(d)
-
-
-def _override_selection(config: ExperimentConfig, **overrides) -> None:
-    d = {
-        "alpha": config.selection.alpha,
-        "lag": config.selection.lag,
-        "ridge_lambda": config.selection.ridge_lambda,
-        "scad_lambda": config.selection.scad_lambda,
-        "scad_a": config.selection.scad_a,
-        "grid_points": config.selection.grid_points,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            d[key] = value
-    config.selection = SelectionConfig(**d)
+def _run_selection(config: ExperimentConfig, frame, rr_path: str, scad_path: str):
+    """Ridge and SCAD selection; writes each JSON report and its CSV twin."""
+    rr, scad = pipeline.select_panel_features(frame, **dataclasses.asdict(config.selection))
+    for report, path in ((rr, rr_path), (scad, scad_path)):
+        atomic_write_text(os.path.splitext(path)[0] + ".csv", report.to_csv_text())
+        write_json(path, report.to_json_dict())  # last, so it wins if `path` itself ends in .csv
+    print(f"rr: selected {rr.n_selected} of {len(rr.rows)} features (lambda={rr.penalty.lam:g})")
+    print(f"scad: selected {scad.n_selected} of {len(scad.rows)} features (lambda={scad.penalty.lam:g})")
+    if scad.n_selected == 0:
+        print("warning: SCAD selection is empty; lambda is likely too large", file=sys.stderr)
+    return rr, scad
 
 
 def cmd_select(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    _override_selection(
-        config,
+    config.selection = _override(
+        config.selection,
         scad_lambda=args.scad_lambda,
         ridge_lambda=args.ridge_lambda,
         scad_a=args.a,
         alpha=args.alpha,
     )
-    sel = config.selection
-
     frame, _ = load_panel(config.data)
-    rr, scad = pipeline.select_panel_features(
-        frame,
-        lag=sel.lag,
-        alpha=sel.alpha,
-        ridge_lambda=sel.ridge_lambda,
-        scad_lambda=sel.scad_lambda,
-        scad_a=sel.scad_a,
-        grid_points=sel.grid_points,
+    _run_selection(
+        config, frame, os.path.join(out, "rr_selection.json"), os.path.join(out, "scad_selection.json")
     )
-    rr.write_json(os.path.join(out, "rr_selection.json"))
-    rr.write_csv(os.path.join(out, "rr_selection.csv"))
-    scad.write_json(os.path.join(out, "scad_selection.json"))
-    scad.write_csv(os.path.join(out, "scad_selection.csv"))
-    print(f"rr: selected {rr.n_selected} of {len(rr.rows)} features (lambda={rr.penalty.lam:g})")
-    print(f"scad: selected {scad.n_selected} of {len(scad.rows)} features (lambda={scad.penalty.lam:g})")
-    if scad.n_selected == 0:
-        print("warning: SCAD selection is empty; lambda is likely too large", file=sys.stderr)
     return EXIT_OK
 
 
@@ -176,22 +150,18 @@ def _checkpoint_dict(result: pipeline.TrainResult, target_name: str) -> dict:
     return d
 
 
-def _metrics_dict(row: pipeline.MetricsRow, extra: dict | None = None) -> dict:
-    d = row.to_json_dict()
-    if extra:
-        d.update(extra)
-    return d
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    overrides = {"epochs": args.epochs, "learning_rate": args.lr, "dilation": args.dilation}
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-        if args.dilation is None:
-            overrides["dilation"] = _RESET  # re-resolve the rate for the new variant
-    _override_model(config, **overrides)
+    if args.variant is not None and args.dilation is None:
+        config.model.dilation = None  # re-resolved for the new variant by __post_init__
+    config.model = _override(
+        config.model,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        dilation=args.dilation,
+        variant=args.variant,
+    )
 
     if args.all_features:
         selection = None
@@ -209,10 +179,12 @@ def cmd_train(args) -> int:
     write_json(os.path.join(out, "checkpoint.json"), _checkpoint_dict(result, frame.target_name))
     write_json(
         os.path.join(out, "train_metrics.json"),
-        _metrics_dict(result.metrics, {"n_features": len(result.feature_names) - 1,
-                                       "epochs": config.model.epochs,
-                                       "history": list(result.history),
-                                       "final_train_loss": result.history[-1] if result.history else None}),
+        result.metrics.to_json_dict() | {
+            "n_features": len(result.feature_names) - 1,
+            "epochs": config.model.epochs,
+            "history": list(result.history),
+            "final_train_loss": result.history[-1] if result.history else None,
+        },
     )
     atomic_write_text(
         os.path.join(out, "predictions.csv"),
@@ -236,19 +208,12 @@ def cmd_evaluate(args) -> int:
     feature_names = list(ckpt["feature_names"])
 
     frame, _ = load_panel(config.data)
-    sub = frame.subframe(feature_names)
-    sub_std = scaler.transform(sub)
-    batch = pipeline.make_windows(sub_std, window=model.config.window, original=sub)
-    batch.check_no_lookahead()
-    _, test_b = pipeline.chrono_split(batch, config.train_fraction)
-
-    preds = scaler.inverse_column(frame.target_name, model.predict(test_b.inputs))
-    metrics = pipeline.evaluate(preds, test_b.targets_orig)
-    row = pipeline.MetricsRow(
-        label=model.config.variant, mse=metrics.mse, mae=metrics.mae,
-        mape=metrics.mape, seed=model.config.seed,
+    split = pipeline.prepare_split(
+        frame, feature_names, model.config.window, config.train_fraction, scaler
     )
-    write_json(os.path.join(out, "eval_metrics.json"), _metrics_dict(row))
+    row, preds = pipeline.score_forecasts(model, split, frame.target_name)
+    _, _, test_b = split
+    write_json(os.path.join(out, "eval_metrics.json"), row.to_json_dict())
     atomic_write_text(
         os.path.join(out, "eval_predictions.csv"),
         pipeline.predictions_csv_text(test_b.target_dates, test_b.targets_orig, preds),
@@ -260,7 +225,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    _override_model(config, epochs=args.epochs, dilation=args.dilation)
+    config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation)
     if args.seeds is not None:
         try:
             config.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -277,32 +242,17 @@ def cmd_compare(args) -> int:
         rr, scad = _load_selection(rr_path), _load_selection(scad_path)
     else:
         print("selection files missing; running selection first")
-        sel = config.selection
-        rr, scad = pipeline.select_panel_features(
-            frame, lag=sel.lag, alpha=sel.alpha, ridge_lambda=sel.ridge_lambda,
-            scad_lambda=sel.scad_lambda, scad_a=sel.scad_a, grid_points=sel.grid_points,
-        )
-        rr.write_json(rr_path)
-        scad.write_json(scad_path)
+        rr, scad = _run_selection(config, frame, rr_path, scad_path)
 
+    t0 = time.perf_counter()
     report = pipeline.compare_variants(
         frame, rr, scad, config.model, config.seeds, config.train_fraction
     )
     write_json(os.path.join(out, "comparison.json"), report.to_json_dict())
     atomic_write_text(os.path.join(out, "comparison.txt"), report.to_text_table())
-
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "seed", "mse", "mae", "mape"])
-    for r in report.per_seed:
-        writer.writerow([r.label, r.seed, repr(r.mse), repr(r.mae), repr(r.mape)])
-    atomic_write_text(os.path.join(out, "comparison_per_seed.csv"), buf.getvalue())
-
+    atomic_write_text(os.path.join(out, "comparison_per_seed.csv"), report.per_seed_csv_text())
     print(report.to_text_table(), end="")
-    print(f"(total {report.runtime_seconds:.1f}s over {len(report.seeds)} seed(s))")
+    print(f"(total {time.perf_counter() - t0:.1f}s over {len(report.seeds)} seed(s))")
     return EXIT_OK
 
 
@@ -325,14 +275,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    spec = config.data.synthetic
-    if args.n_days is not None:
-        d = spec.to_json_dict()
-        d["n_days"] = args.n_days
-        spec = synth.SyntheticSpec.from_json_dict(d)
+    spec = _override(config.data.synthetic, n_days=args.n_days)
     frame, truth = synth.generate_synthetic_panel(spec)
     pipeline.write_frame_csv(frame, os.path.join(out, "panel.csv"))
-    synth.write_ground_truth(truth, os.path.join(out, "ground_truth.json"))
+    write_json(os.path.join(out, "ground_truth.json"), truth.to_json_dict())
     print(
         f"panel.csv: {len(frame)} rows x {1 + len(frame.columns)} columns "
         f"(date + {len(frame.feature_names)} features + {frame.target_name!r})"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, MissingInputError, ParameterError
 from .neural import ModelConfig
@@ -84,52 +84,27 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "data": {
-                "source": self.data.source,
-                "csv_paths": list(self.data.csv_paths),
-                "date_column": self.data.date_column,
-                "target_column": self.data.target_column,
-                "synthetic": self.data.synthetic.to_json_dict(),
-            },
-            "selection": {
-                "alpha": self.selection.alpha,
-                "lag": self.selection.lag,
-                "ridge_lambda": self.selection.ridge_lambda,
-                "scad_lambda": self.selection.scad_lambda,
-                "scad_a": self.selection.scad_a,
-                "grid_points": self.selection.grid_points,
-            },
-            "model": self.model.to_json_dict(),
-            "seeds": list(self.seeds),
-            "train_fraction": self.train_fraction,
-        }
+        d = asdict(self)
+        d["data"]["synthetic"] = self.data.synthetic.to_json_dict()
+        return d
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _check_keys(d: dict, cls, where: str) -> None:
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, {"data", "selection", "model", "seeds", "train_fraction"}, "config")
+    _check_keys(raw, ExperimentConfig, "config")
     try:
         data_raw = dict(raw.get("data", {}))
-        _check_keys(
-            data_raw,
-            {"source", "csv_paths", "date_column", "target_column", "synthetic"},
-            "config.data",
-        )
+        _check_keys(data_raw, DataConfig, "config.data")
         synth_raw = data_raw.pop("synthetic", {})
         data = DataConfig(**data_raw, synthetic=SyntheticSpec.from_json_dict(synth_raw))
 
         sel_raw = dict(raw.get("selection", {}))
-        _check_keys(
-            sel_raw,
-            {"alpha", "lag", "ridge_lambda", "scad_lambda", "scad_a", "grid_points"},
-            "config.selection",
-        )
+        _check_keys(sel_raw, SelectionConfig, "config.selection")
         selection = SelectionConfig(**sel_raw)
 
         model = ModelConfig.from_json_dict(dict(raw.get("model", {})))

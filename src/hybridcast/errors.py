@@ -69,10 +69,6 @@ class SingularityError(NumericalError):
     """A matrix that must be positive definite / full rank is not."""
 
 
-class IllConditioningError(NumericalError):
-    """A diagnostic is unreliable because eigenvalues are near zero."""
-
-
 class DivergenceError(NumericalError):
     """Training produced a non-finite (or absurdly large) batch loss."""
 

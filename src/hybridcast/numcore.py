@@ -30,15 +30,6 @@ def as_vector(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
@@ -97,11 +88,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(int(n))
-
-    def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        return self._gen.integers(low, high, size=int(n))
-
-
-def rng_normal(rng: Rng, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-    """n gaussian draws from the given source; sd must be non-negative."""
-    return rng.normal(n, mean, sd)

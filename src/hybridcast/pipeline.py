@@ -14,9 +14,8 @@ import json
 import math
 import os
 import tempfile
-import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -140,14 +139,21 @@ class TimeSeriesFrame:
         )
 
 
-def frame_to_csv_text(frame: TimeSeriesFrame, date_column: str = "date") -> str:
+def csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    names = list(frame.columns)
-    writer.writerow([date_column] + names)
-    for i, d in enumerate(frame.dates):
-        writer.writerow([d.isoformat()] + [repr(float(frame.columns[n][i])) for n in names])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def frame_to_csv_text(frame: TimeSeriesFrame, date_column: str = "date") -> str:
+    names = list(frame.columns)
+    rows = (
+        [d.isoformat()] + [repr(float(frame.columns[n][i])) for n in names]
+        for i, d in enumerate(frame.dates)
+    )
+    return csv_text([date_column] + names, rows)
 
 
 def write_frame_csv(frame: TimeSeriesFrame, path, date_column: str = "date") -> None:
@@ -158,7 +164,7 @@ def write_frame_csv(frame: TimeSeriesFrame, path, date_column: str = "date") -> 
 # loading and alignment
 
 
-def load_csv_series(path, date_column: str = "date", value_columns: list[str] | None = None) -> SeriesFragment:
+def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     """Parse one CSV into a fragment; empty cells become NaN (missing).
 
     Rows are sorted by date; duplicate dates and unparseable cells raise
@@ -177,10 +183,7 @@ def load_csv_series(path, date_column: str = "date", value_columns: list[str] | 
         if date_column not in header:
             raise CsvFormatError(f"{path}: no {date_column!r} column in header {header}")
         date_idx = header.index(date_column)
-        wanted = value_columns if value_columns is not None else [h for h in header if h != date_column]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise CsvFormatError(f"{path}: columns {missing} not in header")
+        wanted = [h for h in header if h != date_column]
         col_idx = {c: header.index(c) for c in wanted}
 
         rows = []
@@ -237,27 +240,24 @@ def align_series(
     if not np.all(np.isfinite(tgt)):
         raise CsvFormatError(f"target column {target_name!r} has missing values")
 
-    n = len(target.dates)
+    # dates as int64 day ordinals, so the fill is one binary search per series
+    target_days = np.array([d.toordinal() for d in target.dates], dtype=np.int64)
     aligned: dict[str, np.ndarray] = {target_name: tgt.copy()}
     first_valid = 0
     for frag in exogenous:
+        frag_days = np.array([d.toordinal() for d in frag.dates], dtype=np.int64)
         for name, col in frag.columns.items():
             if name in aligned:
                 raise ParameterError(f"duplicate column name {name!r} across fragments")
-            obs = [(d, v) for d, v in zip(frag.dates, col) if math.isfinite(v)]
-            if not obs or obs[0][0] > target.dates[-1]:
+            observed = np.isfinite(col)
+            days, values = frag_days[observed], col[observed]
+            if days.size == 0 or days[0] > target_days[-1]:
                 raise CoverageError(
                     f"series {name!r} has no observations within the target span"
                 )
-            filled = np.empty(n)
-            k = -1
-            for i, d in enumerate(target.dates):
-                while k + 1 < len(obs) and obs[k + 1][0] <= d:
-                    k += 1
-                filled[i] = obs[k][1] if k >= 0 else math.nan
-            aligned[name] = filled
-            lead = int(np.argmax(np.isfinite(filled))) if not math.isfinite(filled[0]) else 0
-            first_valid = max(first_valid, lead)
+            last = np.searchsorted(days, target_days, side="right") - 1  # latest obs at or before
+            aligned[name] = np.where(last >= 0, values[last], math.nan)
+            first_valid = max(first_valid, int(np.argmax(last >= 0)))
 
     dates = list(target.dates[first_valid:])
     columns = {name: col[first_valid:].copy() for name, col in aligned.items()}
@@ -292,10 +292,6 @@ class StandardScaler:
     def inverse_column(self, name: str, values: np.ndarray) -> np.ndarray:
         j = self._index(name)
         return np.asarray(values, dtype=np.float64) * self.sd[j] + self.mean[j]
-
-    def transform_column(self, name: str, values: np.ndarray) -> np.ndarray:
-        j = self._index(name)
-        return (np.asarray(values, dtype=np.float64) - self.mean[j]) / self.sd[j]
 
     def to_json_dict(self) -> dict:
         return {
@@ -363,28 +359,25 @@ class WindowBatch:
 def make_windows(
     frame: TimeSeriesFrame,
     window: int = 5,
-    horizon: int = 1,
     original: TimeSeriesFrame | None = None,
 ) -> WindowBatch:
-    """Build N - window - horizon + 1 samples from a standardized frame.
+    """Build N - window one-step-ahead samples from a standardized frame.
 
     `original` (the pre-scaling panel, same index) supplies the
     original-scale targets; without it they fall back to the
     standardized values.
     """
-    if window < 1 or horizon < 1:
-        raise ParameterError("window and horizon must be >= 1")
+    if window < 1:
+        raise ParameterError("window must be >= 1")
     n = len(frame)
-    n_samples = n - window - horizon + 1
+    n_samples = n - window
     if n_samples < 1:
-        raise InsufficientDataError(
-            f"panel has {n} rows; need more than {window + horizon - 1} for one sample"
-        )
+        raise InsufficientDataError(f"panel has {n} rows; need more than {window} for one sample")
     names = list(frame.columns)
     mat = frame.values(names)
     idx = np.arange(n_samples)[:, None] + np.arange(window)[None, :]
     inputs = mat[idx]  # (N, window, F)
-    tgt_rows = np.arange(n_samples) + window + horizon - 1
+    tgt_rows = np.arange(n_samples) + window
     targets_std = frame.target[tgt_rows].copy()
     if original is not None:
         if len(original) != n:
@@ -403,15 +396,19 @@ def make_windows(
     )
 
 
-def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[WindowBatch, WindowBatch]:
-    """First floor(train_fraction*n) samples train, the rest test; order kept."""
-    n = len(batch)
+def split_index(n: int, train_fraction: float) -> int:
+    """Training-sample count of n chronological samples: floor(train_fraction*n) in [1, n-1]."""
     if n < 2:
-        raise InsufficientDataError(f"need at least 2 samples to split, got {n}")
+        raise InsufficientDataError(f"need at least 2 samples to split, got {max(n, 0)}")
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    k = int(math.floor(train_fraction * n))
-    k = min(max(k, 1), n - 1)
+    return min(max(int(math.floor(train_fraction * n)), 1), n - 1)
+
+
+def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[WindowBatch, WindowBatch]:
+    """First split_index(n, train_fraction) samples train, the rest test; order kept."""
+    n = len(batch)
+    k = split_index(n, train_fraction)
 
     def take(sl: slice) -> WindowBatch:
         return WindowBatch(
@@ -425,6 +422,29 @@ def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[Windo
         )
 
     return take(slice(0, k)), take(slice(k, n))
+
+
+def prepare_split(
+    frame: TimeSeriesFrame,
+    names: list[str],
+    window: int,
+    train_fraction: float,
+    scaler: StandardScaler | None = None,
+) -> tuple[StandardScaler, WindowBatch, WindowBatch]:
+    """Scale, window and chronologically split the named columns of the panel.
+
+    Without a scaler, one is fitted on the rows the training samples
+    read (their inputs and targets), so no test row informs it; pass the
+    scaler of a trained model to rebuild exactly its training split.
+    """
+    sub = frame.subframe(names)
+    n_train = split_index(len(sub) - window, train_fraction)
+    if scaler is None:
+        scaler = fit_scaler(sub, train_end_index=n_train + window)
+    batch = make_windows(scaler.transform(sub), window=window, original=sub)
+    batch.check_no_lookahead()
+    train_b, test_b = chrono_split(batch, train_fraction)
+    return scaler, train_b, test_b
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +488,7 @@ class MetricsRow:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {"label": self.label, "mse": self.mse, "mae": self.mae, "mape": self.mape, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass
@@ -480,7 +500,6 @@ class MetricsReport:
     seeds: list[int]
     dilated_win_rate: float
     dataset_label: str = "synthetic"
-    runtime_seconds: float = 0.0  # informational; never serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -501,6 +520,12 @@ class MetricsReport:
         )
         return "\n".join(lines) + "\n"
 
+    def per_seed_csv_text(self) -> str:
+        return csv_text(
+            ["label", "seed", "mse", "mae", "mape"],
+            ([r.label, r.seed, repr(r.mse), repr(r.mae), repr(r.mape)] for r in self.per_seed),
+        )
+
 
 # ---------------------------------------------------------------------------
 # training
@@ -516,7 +541,6 @@ class TrainResult:
     dates: list[date]
     actuals: np.ndarray
     predictions: np.ndarray
-    runtime_seconds: float
 
 
 DIVERGENCE_LOSS = 1e100  # standardized targets make any loss near this garbage
@@ -578,6 +602,33 @@ def restrict_features(frame: TimeSeriesFrame, selection) -> list[str]:
     return [frame.target_name] + chosen
 
 
+def score_forecasts(model: ForecastModel, split, target_name: str, label: str | None = None):
+    """Test-span forecasts of a prepare_split result on the original scale, and their metrics row."""
+    scaler, _, test_b = split
+    preds = scaler.inverse_column(target_name, model.predict(test_b.inputs))
+    m = evaluate(preds, test_b.targets_orig)
+    row = MetricsRow(label or model.config.variant, m.mse, m.mae, m.mape, model.config.seed)
+    return row, preds
+
+
+def fit_and_score(config: ModelConfig, split, target_name: str, label: str | None = None) -> TrainResult:
+    """Train a fresh model on the training part of a prepare_split result and score it."""
+    scaler, train_b, test_b = split
+    model = ForecastModel(config, n_features=len(train_b.feature_names))
+    history = fit_arrays(model, train_b.inputs, train_b.targets_std)
+    row, preds = score_forecasts(model, split, target_name, label)
+    return TrainResult(
+        model=model,
+        scaler=scaler,
+        feature_names=list(train_b.feature_names),
+        history=history,
+        metrics=row,
+        dates=list(test_b.target_dates),
+        actuals=test_b.targets_orig.copy(),
+        predictions=preds,
+    )
+
+
 def train_model(
     frame: TimeSeriesFrame,
     selection,
@@ -586,55 +637,8 @@ def train_model(
     train_fraction: float = 0.9,
 ) -> TrainResult:
     """Scale, window, split, train, and score one model on the panel."""
-    t0 = time.perf_counter()
-    cols = restrict_features(frame, selection)
-    sub = frame.subframe(cols)
-
-    n_samples = len(sub) - config.window
-    if n_samples < 2:
-        raise InsufficientDataError(
-            f"panel has {len(sub)} rows; too few for window {config.window} plus a split"
-        )
-    n_train = int(math.floor(train_fraction * n_samples))
-    n_train = min(max(n_train, 1), n_samples - 1)
-    scaler = fit_scaler(sub, train_end_index=n_train + config.window)
-    sub_std = scaler.transform(sub)
-    batch = make_windows(sub_std, window=config.window, original=sub)
-    batch.check_no_lookahead()
-    train_b, test_b = chrono_split(batch, train_fraction)
-
-    model = ForecastModel(config, n_features=len(cols))
-    history = fit_arrays(model, train_b.inputs, train_b.targets_std)
-
-    preds_std = model.predict(test_b.inputs)
-    preds = scaler.inverse_column(frame.target_name, preds_std)
-    metrics = evaluate(preds, test_b.targets_orig)
-    row = MetricsRow(
-        label=label or config.variant,
-        mse=metrics.mse,
-        mae=metrics.mae,
-        mape=metrics.mape,
-        seed=config.seed,
-    )
-    return TrainResult(
-        model=model,
-        scaler=scaler,
-        feature_names=cols,
-        history=history,
-        metrics=row,
-        dates=list(test_b.target_dates),
-        actuals=test_b.targets_orig.copy(),
-        predictions=preds,
-        runtime_seconds=time.perf_counter() - t0,
-    )
-
-
-def _cell_config(base: ModelConfig, variant: str, seed: int) -> ModelConfig:
-    d = base.to_json_dict()
-    d["variant"] = variant
-    d["dilation"] = base.dilation if variant == "dilated_cnn_lstm" else None
-    d["seed"] = seed
-    return ModelConfig.from_json_dict(d)
+    split = prepare_split(frame, restrict_features(frame, selection), config.window, train_fraction)
+    return fit_and_score(config, split, frame.target_name, label)
 
 
 def compare_variants(
@@ -647,7 +651,8 @@ def compare_variants(
 ) -> MetricsReport:
     """Train the five labeled combinations per seed and aggregate.
 
-    Each (cell, seed) gets its own derived rng stream (seed plus a fixed
+    Each selection is prepared once and shared by its cells. Each
+    (cell, seed) gets its own derived rng stream (seed plus a fixed
     per-cell offset), so cells are independent and reproducible. The win
     rate counts seeds where the dilated variant beats plain CNN-LSTM on
     test MSE (informational).
@@ -656,24 +661,25 @@ def compare_variants(
         raise ParameterError("need at least one seed")
     if rr_selection.n_selected == 0 or scad_selection.n_selected == 0:
         raise ParameterError("both selections must keep at least one feature")
-    t0 = time.perf_counter()
-    selections = {"rr": rr_selection, "scad": scad_selection}
+    splits = {
+        key: prepare_split(frame, restrict_features(frame, sel), base_config.window, train_fraction)
+        for key, sel in (("rr", rr_selection), ("scad", scad_selection))
+    }
 
     per_seed: list[MetricsRow] = []
-    by_label: dict[str, list[MetricsRow]] = {label: [] for label in COMPARE_LABELS}
-    wins = 0
     for seed in seeds:
-        seed_rows = {}
         for k, (label, variant, sel_key) in enumerate(COMPARE_CELLS):
-            cfg = _cell_config(base_config, variant, seed + k * CELL_SEED_STRIDE)
-            result = train_model(frame, selections[sel_key], cfg, label=label, train_fraction=train_fraction)
-            row = MetricsRow(label=label, mse=result.metrics.mse, mae=result.metrics.mae,
-                             mape=result.metrics.mape, seed=seed)
-            seed_rows[label] = row
-            per_seed.append(row)
-            by_label[label].append(row)
-        if seed_rows["RR-DILATED_CNN-LSTM"].mse < seed_rows["RR-CNN-LSTM"].mse:
-            wins += 1
+            cfg = replace(
+                base_config,
+                variant=variant,
+                dilation=base_config.dilation if variant == "dilated_cnn_lstm" else None,
+                seed=seed + k * CELL_SEED_STRIDE,
+            )
+            result = fit_and_score(cfg, splits[sel_key], frame.target_name, label)
+            per_seed.append(replace(result.metrics, seed=seed))
+
+    by_label = {label: [r for r in per_seed if r.label == label] for label in COMPARE_LABELS}
+    wins = sum(d.mse < p.mse for d, p in zip(by_label["RR-DILATED_CNN-LSTM"], by_label["RR-CNN-LSTM"]))
 
     rows = [
         MetricsRow(
@@ -686,11 +692,7 @@ def compare_variants(
         for label in COMPARE_LABELS
     ]
     return MetricsReport(
-        rows=rows,
-        per_seed=per_seed,
-        seeds=list(seeds),
-        dilated_win_rate=wins / len(seeds),
-        runtime_seconds=time.perf_counter() - t0,
+        rows=rows, per_seed=per_seed, seeds=list(seeds), dilated_win_rate=wins / len(seeds)
     )
 
 
@@ -764,9 +766,7 @@ def select_panel_features(
 
 
 def predictions_csv_text(dates: list[date], actuals: np.ndarray, predictions: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "actual", "predicted"])
-    for d, a, p in zip(dates, actuals, predictions):
-        writer.writerow([d.isoformat(), repr(float(a)), repr(float(p))])
-    return buf.getvalue()
+    rows = (
+        [d.isoformat(), repr(float(a)), repr(float(p))] for d, a, p in zip(dates, actuals, predictions)
+    )
+    return csv_text(["date", "actual", "predicted"], rows)

@@ -14,7 +14,7 @@ zeroes everything" scaling.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,12 +24,7 @@ import scipy.stats
 from scipy.linalg.blas import daxpy
 
 from . import numcore
-from .errors import (
-    IllConditioningError,
-    ParameterError,
-    ShapeError,
-    SingularityError,
-)
+from .errors import ParameterError, ShapeError, SingularityError
 
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
 
@@ -276,23 +271,6 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
         t_stats=t,
         p_values=p,
     )
-
-
-def estimator_mse_diagnostic(fit: RegressionFit) -> float:
-    """sigma2_hat * sum(1/eigenvalue) over the Gram spectrum.
-
-    Near-zero eigenvalues make the estimator variance blow up, which is
-    the standard motivation for switching to ridge; those raise instead
-    of returning a meaningless number.
-    """
-    eigs = np.asarray(fit.gram_eigenvalues, dtype=np.float64)
-    if eigs.size == 0:
-        raise ParameterError("fit carries no Gram eigenvalues")
-    if np.any(eigs <= 1e-12):
-        raise IllConditioningError(
-            f"Gram matrix is ill conditioned (min eigenvalue {eigs.min():.3e} <= 1e-12)"
-        )
-    return float(fit.sigma2_hat * np.sum(1.0 / eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +530,7 @@ class SelectionReport:
             ],
         }
 
-    def write_json(self, path) -> None:
-        from .pipeline import atomic_write_text  # local import to avoid a cycle
-
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-    def write_csv(self, path) -> None:
-        from .pipeline import atomic_write_text
-
-        import io
-
+    def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "coef", "t", "p", "selected"])
@@ -575,7 +544,7 @@ class SelectionReport:
                     str(r.selected).lower(),
                 ]
             )
-        atomic_write_text(path, buf.getvalue())
+        return buf.getvalue()
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SelectionReport":

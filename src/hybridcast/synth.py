@@ -12,14 +12,14 @@ be scored exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 
 import numpy as np
 
 from .errors import ParameterError
 from .numcore import Rng
-from .pipeline import TimeSeriesFrame, atomic_write_text
+from .pipeline import TimeSeriesFrame
 from .regsel import SelectionReport
 
 CLUSTER_PREFIXES = ("macro", "fin", "chain")
@@ -89,23 +89,11 @@ class SyntheticSpec:
         return names
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_days": self.n_days,
-            "macro": self.macro,
-            "financial_energy": self.financial_energy,
-            "blockchain": self.blockchain,
-            "true_support": list(self.true_support),
-            "noise_sd": self.noise_sd,
-            "lag": self.lag,
-            "seed": self.seed,
-            "exog_ar": self.exog_ar,
-            "target_ar": self.target_ar,
-            "target_base": self.target_base,
-            "innovation_sd": self.innovation_sd,
-            "weights": list(self.weights) if self.weights is not None else None,
-            "start_date": self.start_date.isoformat(),
-            "target_name": self.target_name,
-        }
+        d = asdict(self)
+        d["true_support"] = list(self.true_support)
+        d["weights"] = list(self.weights) if self.weights is not None else None
+        d["start_date"] = self.start_date.isoformat()
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SyntheticSpec":
@@ -135,16 +123,9 @@ class GroundTruth:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "support_indices": list(self.support_indices),
-            "support_names": list(self.support_names),
-            "weights": dict(self.weights),
-            "lag": self.lag,
-            "target_ar": self.target_ar,
-            "noise_sd": self.noise_sd,
-            "target_base": self.target_base,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        d["support_indices"] = list(self.support_indices)
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GroundTruth":
@@ -242,10 +223,6 @@ def score_selection(report: SelectionReport, truth: GroundTruth) -> dict:
         "n_selected": len(selected),
         "covers_support": true.issubset(selected),
     }
-
-
-def write_ground_truth(truth: GroundTruth, path) -> None:
-    atomic_write_text(path, json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -199,6 +199,11 @@ class TestCompareCommand:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
             assert run("compare", "--config", tiny_config, "--out", out, "--seeds", "1") == 0
+        # with no reports in --out, compare runs and writes the same selection as `select`
+        selected = str(tmp_path / "s")
+        assert run("select", "--config", tiny_config, "--out", selected) == 0
+        for name in ("rr_selection.json", "rr_selection.csv", "scad_selection.json", "scad_selection.csv"):
+            assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(selected, name)), name
         report = json.load(open(os.path.join(out1, "comparison.json")))
         labels = [r["label"] for r in report["rows"]]
         assert labels == [

@@ -5,26 +5,6 @@ from hybridcast import numcore
 from hybridcast.errors import ParameterError, ShapeError, SingularityError
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        assert np.array_equal(numcore.matmul(np.eye(2), a), a)
-
-    def test_dot_product(self):
-        assert numcore.matmul([[1, 2]], [[3], [4]]).item() == pytest.approx(11.0)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            numcore.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self, rng):
-        for _ in range(10):
-            a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-            left = numcore.matmul(numcore.matmul(a, b), c)
-            right = numcore.matmul(a, numcore.matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
-
-
 class TestSolveSpd:
     def test_diagonal(self):
         assert numcore.solve_spd(2.0 * np.eye(2), [2.0, 4.0]) == pytest.approx([1.0, 2.0])
@@ -94,11 +74,11 @@ class TestSymEigenvalues:
 
 class TestRng:
     def test_sd_zero_degenerate(self):
-        assert numcore.rng_normal(numcore.Rng(1), 3, mean=5.0, sd=0.0) == pytest.approx([5.0, 5.0, 5.0])
+        assert numcore.Rng(1).normal(3, mean=5.0, sd=0.0) == pytest.approx([5.0, 5.0, 5.0])
 
     def test_same_seed_identical(self):
-        a = numcore.rng_normal(numcore.Rng(42), 100)
-        b = numcore.rng_normal(numcore.Rng(42), 100)
+        a = numcore.Rng(42).normal(100)
+        b = numcore.Rng(42).normal(100)
         assert np.array_equal(a, b)
 
     def test_bitwise_stream_reproducibility(self):
@@ -109,10 +89,10 @@ class TestRng:
 
     def test_negative_sd(self):
         with pytest.raises(ParameterError):
-            numcore.rng_normal(numcore.Rng(1), 3, sd=-1.0)
+            numcore.Rng(1).normal(3, sd=-1.0)
 
     def test_clt_bound(self):
         # 3 sigma band: 3 / sqrt(1e5) < 0.01
-        draws = numcore.rng_normal(numcore.Rng(2024), 100_000, mean=0.0, sd=1.0)
+        draws = numcore.Rng(2024).normal(100_000, mean=0.0, sd=1.0)
         assert abs(draws.mean()) < 0.01
         assert abs(draws.std(ddof=1) - 1.0) < 0.01

@@ -1,5 +1,5 @@
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -32,8 +32,6 @@ from hybridcast.pipeline import (
 
 
 def days(n, start=date(2020, 1, 1)):
-    from datetime import timedelta
-
     return [start + timedelta(days=i) for i in range(n)]
 
 
@@ -148,6 +146,45 @@ class TestAlignSeries:
         frame = align_series(target, [exo])
         assert frame.columns["x"] == pytest.approx([4.0, 4.0, 6.0])
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_forward_fill(self, data):
+        # own calendars per fragment: gaps, dates before and after the target
+        # span, and missing cells anywhere (including leading ones)
+        def calendar(lo, hi):
+            offsets = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=20, unique=True))
+            return [date(2020, 1, 1) + timedelta(days=i) for i in sorted(offsets)]
+
+        target_dates = calendar(0, 30)
+        target = SeriesFragment(dates=target_dates, columns={"price": np.arange(len(target_dates), dtype=float)})
+        exo = []
+        for f in range(data.draw(st.integers(1, 3))):
+            frag_dates = calendar(-10, 40)
+            cell = st.one_of(st.just(math.nan), st.floats(-100, 100))
+            exo.append(SeriesFragment(dates=frag_dates, columns={
+                f"x{f}_{c}": np.array(data.draw(st.lists(cell, min_size=len(frag_dates), max_size=len(frag_dates))))
+                for c in range(data.draw(st.integers(1, 2)))
+            }))
+
+        expected = {}
+        for frag in exo:
+            for name, col in frag.columns.items():
+                filled = []
+                for d in target_dates:
+                    seen = [v for fd, v in zip(frag.dates, col) if fd <= d and not math.isnan(v)]
+                    filled.append(seen[-1] if seen else math.nan)
+                expected[name] = np.array(filled)
+        if any(np.isnan(col[-1]) for col in expected.values()):
+            with pytest.raises(CoverageError):
+                align_series(target, exo)
+            return
+        start = max(int(np.argmax(~np.isnan(col))) for col in expected.values())
+        frame = align_series(target, exo)
+        assert frame.dates == target_dates[start:]
+        assert np.array_equal(frame.columns["price"], target.columns["price"][start:])
+        for name, col in expected.items():
+            assert np.array_equal(frame.columns[name], col[start:]), name
+
 
 class TestScaler:
     def test_hand_example(self):
@@ -229,6 +266,12 @@ class TestChronoSplit:
         batch = make_windows(simple_frame(n=15), window=5)  # 10 samples
         train, test = chrono_split(batch, 0.9)
         assert len(train) == 9 and len(test) == 1
+        # boundaries: the floor is clamped so both parts keep at least one sample
+        cases = [(2, 0.5, 1), (2, 1e-9, 1), (2, 1 - 1e-9, 1), (3, 0.67, 2), (10, 0.05, 1), (100, 0.999, 99)]
+        for n, fraction, n_train in cases:
+            assert pipeline.split_index(n, fraction) == n_train
+            train, test = chrono_split(make_windows(simple_frame(n=n + 5), window=5), fraction)
+            assert (len(train), len(test)) == (n_train, n - n_train)
 
     def test_order_and_partition(self):
         batch = make_windows(simple_frame(n=30), window=5)
@@ -241,6 +284,8 @@ class TestChronoSplit:
         batch = make_windows(simple_frame(n=6), window=5)
         with pytest.raises(InsufficientDataError):
             chrono_split(batch)
+        with pytest.raises(InsufficientDataError):
+            pipeline.prepare_split(simple_frame(n=6), ["price", "x1"], window=5, train_fraction=0.9)
 
 
 class TestEvaluate:
@@ -372,6 +417,22 @@ class TestCompareVariants:
         assert 0.0 <= rep1.dilated_win_rate <= 1.0
         assert all(math.isfinite(v) for r in rep1.rows for v in (r.mse, r.mae, r.mape))
         assert rep1.to_json_dict() == rep2.to_json_dict()
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
+    def test_prepares_each_selection_once(self, small_panel, monkeypatch, seeds):
+        frame, _ = small_panel
+        rr, scad = pipeline.select_panel_features(frame, grid_points=8)
+        prepared = []
+        prepare = pipeline.prepare_split
+
+        def counting(frame, names, *args, **kwargs):
+            prepared.append(names)
+            return prepare(frame, names, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "prepare_split", counting)
+        report = pipeline.compare_variants(frame, rr, scad, tiny_train_config(epochs=0), seeds=seeds)
+        assert len(report.per_seed) == 5 * len(seeds)
+        assert prepared == [["price"] + rr.selected_names, ["price"] + scad.selected_names]
 
     def test_empty_selection_rejected(self, small_panel):
         frame, _ = small_panel

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hybridcast import regsel
-from hybridcast.errors import IllConditioningError, ParameterError, SingularityError
+from hybridcast.errors import ParameterError, SingularityError
+from hybridcast.pipeline import write_json
 from hybridcast.regsel import PenaltySpec, RegressionFit
-
-
-def make_fit(sigma2, eigenvalues):
-    """Minimal fit object for diagnostics tests."""
-    p = len(eigenvalues)
-    return RegressionFit(
-        beta=np.zeros(p), beta0=0.0, penalty=PenaltySpec("none"),
-        sigma2_hat=sigma2, gram_eigenvalues=np.asarray(eigenvalues, dtype=float),
-        support=(), converged=True, iterations=1, n_obs=10, dof=5, gram=np.eye(p),
-    )
 
 
 class TestPenaltySpec:
@@ -106,18 +97,6 @@ class TestRidge:
         y = rng.standard_normal(50)
         norms = [np.linalg.norm(regsel.ridge_fit(x, y, lam).beta) for lam in (0.1, 1.0, 10.0)]
         assert norms[0] >= norms[1] >= norms[2]
-
-
-class TestMseDiagnostic:
-    def test_orthonormal_design(self):
-        assert regsel.estimator_mse_diagnostic(make_fit(1.0, [1.0, 1.0, 1.0])) == pytest.approx(3.0)
-
-    def test_zero_sigma(self):
-        assert regsel.estimator_mse_diagnostic(make_fit(0.0, [2.0, 5.0])) == 0.0
-
-    def test_tiny_eigenvalue_guard(self):
-        with pytest.raises(IllConditioningError):
-            regsel.estimator_mse_diagnostic(make_fit(1.0, [1e-14, 1.0, 1.0]))
 
 
 class TestSoftThreshold:
@@ -442,21 +421,19 @@ class TestSelectFeatures:
         )
         report = regsel.select_features(fit, ["u", "v"], dataset_label="scad")
         path = tmp_path / "sel.json"
-        report.write_json(path)
+        write_json(path, report.to_json_dict())
         loaded = regsel.SelectionReport.from_json_dict(json.loads(path.read_text()))
         assert loaded.selected_names == report.selected_names
         assert loaded.penalty == report.penalty
         assert loaded.dataset_label == "scad"
 
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self):
         fit = RegressionFit(
             beta=np.array([0.5]), beta0=0.0, penalty=PenaltySpec("lasso", 0.2),
             sigma2_hat=1.0, gram_eigenvalues=np.ones(1), support=(0,), converged=True,
             iterations=1, n_obs=10, dof=8, gram=np.eye(1),
         )
         report = regsel.select_features(fit, ["u"], dataset_label="scad")
-        path = tmp_path / "sel.csv"
-        report.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = report.to_csv_text().splitlines()
         assert lines[0] == "name,coef,t,p,selected"
         assert lines[1].startswith("u,") and lines[1].endswith(",true")

@@ -3,7 +3,7 @@ import pytest
 
 from hybridcast import regsel, synth
 from hybridcast.errors import ParameterError
-from hybridcast.pipeline import lagged_design
+from hybridcast.pipeline import lagged_design, write_json
 from hybridcast.synth import GroundTruth, SyntheticSpec, generate_synthetic_panel
 
 
@@ -124,5 +124,5 @@ class TestScoring:
     def test_ground_truth_json_roundtrip(self, tmp_path):
         _, truth = generate_synthetic_panel(SyntheticSpec(n_days=30, seed=2))
         path = tmp_path / "gt.json"
-        synth.write_ground_truth(truth, path)
+        write_json(path, truth.to_json_dict())
         assert synth.load_ground_truth(path) == truth
