@@ -44,7 +44,9 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="experiment config JSON (defaults: built-in synthetic run)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, help="override the seed")
+        p.add_argument(
+            "--seed", type=int, help="override the model seed; on the synthetic source also reseeds the panel"
+        )
 
     p = sub.add_parser("select", help="run ridge and SCAD feature selection")
     common(p)

