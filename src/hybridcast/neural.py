@@ -460,17 +460,13 @@ class ForecastModel:
         shapes["dense_b"] = ()
         return shapes
 
-    def _fan_in(self, name: str, shapes: dict) -> int:
+    @staticmethod
+    def _fan_in(name: str, shapes: dict) -> int:
         if name.startswith("conv"):
-            return KERNEL_SIZE * KERNEL_SIZE  # single input channel
+            return int(np.prod(shapes["conv_kernel"][1:]))  # in_channels x 3 x 3
         if name.startswith(("W_", "b_")):
-            return self.config.hidden_size + self._lstm_input_size()
-        return max(1, shapes["dense_w"][0])
-
-    def _lstm_input_size(self) -> int:
-        if not self._uses_lstm:
-            return 0
-        return self.config.out_channels * self.n_features if self._uses_conv else self.n_features
+            return shapes["W_f"][1]  # hidden state + LSTM input
+        return shapes["dense_w"][0]
 
     def _init_params(self, shapes: dict) -> dict:
         params = {}

@@ -174,8 +174,9 @@ def write_frame_csv(frame: TimeSeriesFrame, path, date_column: str = "date") -> 
 def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     """Parse one CSV into a fragment; empty cells become NaN (missing).
 
-    Rows are sorted by date; duplicate dates, unparseable cells and rows
-    with more or fewer cells than the header raise with row/column context.
+    Rows are sorted by date; repeated header names, duplicate dates,
+    unparseable cells and rows with more or fewer cells than the header
+    raise with row/column context.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -187,6 +188,9 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
         except StopIteration:
             raise CsvFormatError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise CsvFormatError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         if date_column not in header:
             raise CsvFormatError(f"{path}: no {date_column!r} column in header {header}")
         date_idx = header.index(date_column)

@@ -53,24 +53,17 @@ class PenaltySpec:
 class RegressionFit:
     """Result of one regression fit.
 
-    beta/beta0 are on the scale of the x/y passed in; `gram` is the
-    (centered or standardized) feature Gram matrix the slope covariance
-    is based on, with `dof` residual degrees of freedom. Ridge and OLS
-    fits carry the slope t statistics and p-values of _slope_inference;
-    sparse fits leave them None.
+    beta/beta0 are on the scale of the x/y passed in. Ridge and OLS fits
+    carry the slope t statistics and p-values of _least_squares; sparse
+    fits leave them None and record their sweeps' objective values.
     """
 
     beta: np.ndarray
     beta0: float
     penalty: PenaltySpec
-    sigma2_hat: float
-    gram_eigenvalues: np.ndarray
     support: tuple[int, ...]
     converged: bool
     iterations: int
-    n_obs: int
-    dof: int
-    gram: np.ndarray
     objective_history: list[float] = field(default_factory=list)
     t_stats: np.ndarray | None = None
     p_values: np.ndarray | None = None
@@ -153,20 +146,31 @@ def _check_xy(x, y):
     return x, y
 
 
-def _slope_inference(beta, gram, lam, sigma2, dof):
-    """Approximate t statistics and p-values for slope coefficients.
+def _least_squares(x, y, penalty: PenaltySpec, center: bool, dof: int) -> RegressionFit:
+    """(X'X + lam I)^-1 X'y with slope t statistics and p-values; lam = 0 is OLS.
 
-    Uses Var(b) = sigma2 * W G W with W = (G + lam I)^-1; lam = 0 gives the
-    exact OLS covariance.
+    Var(b) = sigma2 * W G W with G = X'X and W = (G + lam I)^-1, which is
+    the exact OLS covariance at lam = 0 and approximate for ridge;
+    sigma2 is the residual sum of squares over `dof` (at least 1).
     """
-    m = len(beta)
-    w = numcore.solve_spd(gram + lam * np.eye(m), np.eye(m))
-    cov = sigma2 * (w @ gram @ w.T)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    se = np.maximum(se, 1e-300)
-    t = beta / se
-    p = 2.0 * scipy.stats.t.sf(np.abs(t), df=max(dof, 1))
-    return t, p
+    m = x.shape[1]
+    if center:
+        x_mean, y_mean = x.mean(axis=0), float(y.mean())
+        x, y = x - x_mean, y - y_mean
+    gram = x.T @ x
+    penalized = gram + penalty.lam * np.eye(m)
+    beta = numcore.solve_spd(penalized, x.T @ y)
+    beta0 = y_mean - float(x_mean @ beta) if center else 0.0
+    resid = y - x @ beta
+    dof = max(dof, 1)
+    sigma2 = float(resid @ resid) / dof
+
+    w = numcore.solve_spd(penalized, np.eye(m))
+    se = np.sqrt(np.clip(np.diag(sigma2 * (w @ gram @ w.T)), 0.0, None))
+    t = beta / np.maximum(se, 1e-300)
+    p = 2.0 * scipy.stats.t.sf(np.abs(t), df=dof)
+    support = tuple(int(j) for j in np.nonzero(p < 0.05)[0])
+    return RegressionFit(beta, beta0, penalty, support, converged=True, iterations=1, t_stats=t, p_values=p)
 
 
 def ols_fit(x, y, intercept: bool = True) -> RegressionFit:
@@ -179,48 +183,12 @@ def ols_fit(x, y, intercept: bool = True) -> RegressionFit:
     n_params = m + (1 if intercept else 0)
     if n < n_params:
         raise ParameterError(f"need at least as many rows as parameters: n={n}, parameters={n_params}")
-
-    if intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(m)
-        y_mean = 0.0
-        xc, yc = x, y
-
-    gram = xc.T @ xc
     try:
-        beta = numcore.solve_spd(gram, xc.T @ yc)
+        return _least_squares(x, y, PenaltySpec("none"), intercept, n - n_params)
     except SingularityError as exc:
         raise SingularityError(
             "ols_fit: X'X is singular (collinear or duplicated columns); consider ridge_fit"
         ) from exc
-
-    beta0 = y_mean - float(x_mean @ beta) if intercept else 0.0
-    resid = yc - xc @ beta
-    dof = max(n - n_params, 1)
-    sigma2 = float(resid @ resid) / dof
-    eigs = numcore.sym_eigenvalues(gram)
-
-    t, p = _slope_inference(beta, gram, 0.0, sigma2, dof)
-    support = tuple(int(j) for j in np.nonzero(p < 0.05)[0])
-    return RegressionFit(
-        beta=beta,
-        beta0=beta0,
-        penalty=PenaltySpec("none"),
-        sigma2_hat=sigma2,
-        gram_eigenvalues=eigs,
-        support=support,
-        converged=True,
-        iterations=1,
-        n_obs=n,
-        dof=dof,
-        gram=gram,
-        t_stats=t,
-        p_values=p,
-    )
 
 
 def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
@@ -233,44 +201,7 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
     x, y = _check_xy(x, y)
     if lam <= 0:
         raise ParameterError(f"ridge requires lam > 0, got {lam}; use ols_fit for lam=0")
-    n, m = x.shape
-
-    if center:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(m)
-        y_mean = 0.0
-        xc, yc = x, y
-
-    gram = xc.T @ xc
-    beta = numcore.solve_spd(gram + lam * np.eye(m), xc.T @ yc)
-    beta0 = y_mean - float(x_mean @ beta) if center else 0.0
-
-    resid = yc - xc @ beta
-    dof = max(n - m, 1)
-    sigma2 = float(resid @ resid) / dof
-    eigs = numcore.sym_eigenvalues(gram)
-
-    t, p = _slope_inference(beta, gram, lam, sigma2, dof)
-    support = tuple(int(j) for j in np.nonzero(p < 0.05)[0])
-    return RegressionFit(
-        beta=beta,
-        beta0=beta0,
-        penalty=PenaltySpec("ridge", lam),
-        sigma2_hat=sigma2,
-        gram_eigenvalues=eigs,
-        support=support,
-        converged=True,
-        iterations=1,
-        n_obs=n,
-        dof=dof,
-        gram=gram,
-        t_stats=t,
-        p_values=p,
-    )
+    return _least_squares(x, y, PenaltySpec("ridge", lam), center, x.shape[0] - x.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +235,6 @@ class _Standardized:
     xs: np.ndarray
     y_mean: float
     yc: np.ndarray
-    gram: np.ndarray  # xs'xs
     cov_rows: list  # rows of G = xs'xs/n, the covariance-update operands
     c: np.ndarray  # xs'yc/n
     yy: float  # yc'yc
@@ -314,6 +244,17 @@ class _Standardized:
         beta_orig = np.zeros(len(beta))
         beta_orig[self.active] = beta[self.active] / self.x_sd[self.active]
         return beta_orig, self.y_mean - float(self.x_mean @ beta_orig)
+
+    def lambda_max(self) -> float:
+        """Smallest lambda that zeroes every lasso coefficient.
+
+        Formed from a copy of the active columns rather than as max|c|:
+        the copy is F-ordered, so BLAS takes another path for xs'yc than
+        on the C-ordered xs, and max|c| differs in the last bits.
+        """
+        if not self.active.any():
+            raise ParameterError("all columns are constant")
+        return float(np.max(np.abs(self.xs[:, self.active].T @ self.yc)) / len(self.yc))
 
 
 def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
@@ -325,8 +266,7 @@ def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
     xs[:, active] = (x[:, active] - x_mean[active]) / x_sd[active]
     y_mean = float(y.mean())
     yc = y - y_mean
-    gram = xs.T @ xs
-    return _Standardized(x_mean, x_sd, active, xs, y_mean, yc, gram, list(gram / n), xs.T @ yc / n, float(yc @ yc))
+    return _Standardized(x_mean, x_sd, active, xs, y_mean, yc, list(xs.T @ xs / n), xs.T @ yc / n, float(yc @ yc))
 
 
 def _descend(
@@ -422,8 +362,7 @@ def penalized_fit(
     The partial-residual estimate comes from the correlations
     g = xs'r/n, kept current through the Gram matrix G = xs'xs/n
     (Friedman, Hastie & Tibshirani 2010), so an update costs O(m)
-    rather than O(n), and so does the per-sweep objective; the residual
-    itself is computed once, after the last sweep, for sigma2_hat.
+    rather than O(n), and so does the per-sweep objective.
     Convergence is declared when no standardized coefficient moves more
     than `tol` in a sweep; hitting max_iter returns converged=False
     rather than raising.
@@ -431,59 +370,19 @@ def penalized_fit(
     if penalty.kind not in ("lasso", "scad"):
         raise ParameterError(f"penalized_fit handles lasso/scad, got {penalty.kind!r}")
     x, y = _check_xy(x, y)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ParameterError("need at least 2 observations")
 
     d = _standardize(x, y)
     beta, sweeps, converged, history = _descend(d, penalty, tol, max_iter, beta_init)
     beta_orig, beta0 = d.to_input_scale(beta)
     support = tuple(int(j) for j in np.nonzero(beta != 0.0)[0])
-
-    resid = d.yc - d.xs @ beta
-    rss = float(resid @ resid)
-    dof = max(n - len(support) - 1, 1)
-    sigma2 = rss / dof
-    eigs = numcore.sym_eigenvalues(d.gram)
-
-    return RegressionFit(
-        beta=beta_orig,
-        beta0=beta0,
-        penalty=penalty,
-        sigma2_hat=sigma2,
-        gram_eigenvalues=eigs,
-        support=support,
-        converged=converged,
-        iterations=sweeps,
-        n_obs=n,
-        dof=dof,
-        gram=d.gram,
-        objective_history=history,
-    )
+    return RegressionFit(beta_orig, beta0, penalty, support, converged, sweeps, objective_history=history)
 
 
 def lambda_max(x, y) -> float:
     """Smallest lambda that zeroes every lasso coefficient (standardized x)."""
-    x, y = _check_xy(x, y)
-    n = x.shape[0]
-    x_mean = x.mean(axis=0)
-    x_sd = np.sqrt(np.mean((x - x_mean) ** 2, axis=0))
-    active = x_sd > 0
-    xs = (x[:, active] - x_mean[active]) / x_sd[active]
-    yc = y - y.mean()
-    if xs.shape[1] == 0:
-        raise ParameterError("all columns are constant")
-    return float(np.max(np.abs(xs.T @ yc)) / n)
-
-
-def lambda_grid(x, y, n_points: int = 20, ratio: float = 1e-3) -> np.ndarray:
-    """Descending log grid from lambda_max down to ratio*lambda_max."""
-    if n_points < 1:
-        raise ParameterError(f"n_points must be >= 1, got {n_points}")
-    lmax = lambda_max(x, y)
-    if lmax == 0.0:
-        return np.zeros(n_points)
-    return np.geomspace(lmax, lmax * ratio, n_points)
+    return _standardize(*_check_xy(x, y)).lambda_max()
 
 
 def tune_penalized(
@@ -500,11 +399,12 @@ def tune_penalized(
     """Pick lambda on a warm-started path, scored by chronological validation MSE.
 
     The last `val_fraction` of the rows is held out (the data is assumed
-    time ordered), the path runs from lambda_max downward, and SCAD fits
-    warm-start from the lasso solution at the same lambda to tame the
-    non-convexity. The training rows are standardized once; every path
-    fit runs on that design and gives the iterates penalized_fit would
-    give at the same lambda and warm start. Among grid points whose
+    time ordered). The training rows are standardized once; the grid is
+    `n_points` log-spaced values from their lambda_max down to
+    1e-3 * lambda_max, and every path fit runs on that design, giving the
+    iterates penalized_fit would give at the same lambda and warm start.
+    SCAD fits warm-start from the lasso solution at the same lambda to
+    tame the non-convexity. Among grid points whose
     validation MSE is within parsimony_ratio of the minimum, the largest
     lambda wins (a one-standard-error-style rule; 1.0 recovers the pure
     argmin).
@@ -515,6 +415,8 @@ def tune_penalized(
         raise ParameterError(f"tune_penalized handles lasso/scad, got {kind!r}")
     if parsimony_ratio < 1.0:
         raise ParameterError(f"parsimony_ratio must be >= 1, got {parsimony_ratio}")
+    if n_points < 1:
+        raise ParameterError(f"n_points must be >= 1, got {n_points}")
     x, y = _check_xy(x, y)
     n = x.shape[0]
     n_val = max(1, int(round(val_fraction * n)))
@@ -523,8 +425,9 @@ def tune_penalized(
     x_tr, y_tr = x[: n - n_val], y[: n - n_val]
     x_val, y_val = x[n - n_val :], y[n - n_val :]
 
-    grid = lambda_grid(x_tr, y_tr, n_points)
     d = _standardize(x_tr, y_tr)
+    lmax = d.lambda_max()
+    grid = np.zeros(n_points) if lmax == 0.0 else np.geomspace(lmax, lmax * 1e-3, n_points)
     val_mse = np.empty(len(grid))
     path_betas = []
     lasso_warm = None
@@ -628,7 +531,7 @@ def select_features(
     """Turn a fit into a per-feature report.
 
     Sparse fits select their nonzero support; ridge/OLS fits select by an
-    approximate t-test at level alpha (see _slope_inference). If the fit
+    approximate t-test at level alpha (see _least_squares). If the fit
     was run on standardized features, pass the standard deviations as
     feature_scale so reported coefficients land on the original scale.
     """

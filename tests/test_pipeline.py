@@ -86,6 +86,14 @@ class TestLoadCsv:
         with pytest.raises(DuplicateDateError, match="2020-01-01"):
             load_csv_series(p)
 
+    @pytest.mark.parametrize("header", ["date,a,a", "date,a, a ", "date,a,date"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        p = tmp_path / "a.csv"
+        p.write_text(f"{header}\n2020-01-01,1,3\n")
+        repeated = header.split(",")[-1].strip()
+        with pytest.raises(CsvFormatError, match=rf"a\.csv: column '{repeated}' appears more than once"):
+            load_csv_series(p)
+
     def test_bad_cell_location(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("date,price,vol\n2020-01-01,1.0,5\n2020-01-02,abc,6\n")

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hybridcast import regsel
 from hybridcast.errors import ParameterError, SingularityError
-from hybridcast.pipeline import write_json
+from hybridcast.pipeline import lagged_design, write_json
 from hybridcast.regsel import PenaltySpec, RegressionFit
+from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 
 
 class TestPenaltySpec:
@@ -445,7 +446,7 @@ class TestTunePenalized:
         n_tr = n - int(round(0.1 * n))
         x_tr, y_tr = x[:n_tr], y[:n_tr]
         expected, scored, warm = [], [], None
-        for lam in regsel.lambda_grid(x_tr, y_tr, n_points):
+        for lam in grid:
             lasso = regsel.penalized_fit(x_tr, y_tr, PenaltySpec("lasso", float(lam), a), beta_init=warm)
             warm = lasso.beta
             expected.append(lasso)
@@ -467,6 +468,28 @@ class TestTunePenalized:
         assert final.beta.tobytes() == refit.beta.tobytes()
         assert (final.iterations, final.converged) == (refit.iterations, refit.converged)
 
+    def test_grid_spans_lambda_max_of_training_rows(self):
+        """Bit for bit, the grid is geomspace from lambda_max = max|xs'yc|/n over the
+        non-constant columns of the population-standardized training rows.
+
+        Taken as max|xs'yc/n| with the full C-ordered standardized design
+        (the correlations the descent starts from), lambda_max differs in
+        its last bits on this panel.
+        """
+        frame, _ = generate_synthetic_panel(SyntheticSpec(seed=0))
+        x, y, _ = lagged_design(frame, 1)
+        n_tr = len(y) - int(round(0.1 * len(y)))
+        x_tr, y_tr = x[:n_tr], y[:n_tr]
+        x_mean = x_tr.mean(axis=0)
+        x_sd = np.sqrt(np.mean((x_tr - x_mean) ** 2, axis=0))
+        active = x_sd > 0
+        xs = (x_tr[:, active] - x_mean[active]) / x_sd[active]
+        lmax = float(np.max(np.abs(xs.T @ (y_tr - y_tr.mean()))) / n_tr)
+
+        _, _, grid, _ = regsel.tune_penalized(x, y, "lasso", n_points=20)
+        assert grid.tobytes() == np.geomspace(lmax, lmax * 1e-3, 20).tobytes()
+        assert regsel.lambda_max(x_tr, y_tr) == lmax
+
     def test_grid_shape_and_choice(self, rng):
         x = rng.standard_normal((100, 6))
         y = x[:, 0] * 2.0 + 0.3 * rng.standard_normal(100)
@@ -487,9 +510,7 @@ class TestSelectFeatures:
     def test_scad_support_selection(self):
         fit = RegressionFit(
             beta=np.array([0.0, 1.2, 0.0, -0.4]), beta0=0.0,
-            penalty=PenaltySpec("scad", 1.0), sigma2_hat=1.0,
-            gram_eigenvalues=np.ones(4), support=(1, 3), converged=True,
-            iterations=3, n_obs=50, dof=45, gram=np.eye(4),
+            penalty=PenaltySpec("scad", 1.0), support=(1, 3), converged=True, iterations=3,
         )
         report = regsel.select_features(fit, ["a", "b", "c", "d"], dataset_label="scad")
         assert report.selected_names == ["b", "d"]
@@ -517,8 +538,12 @@ class TestSelectFeatures:
         report = regsel.select_features(fit, list("abcde"), alpha=0.05, dataset_label="rr")
         assert len(solves) == 2
 
-        w = np.linalg.inv(fit.gram + 3.0 * np.eye(5))
-        se = np.sqrt(np.diag(fit.sigma2_hat * w @ fit.gram @ w))
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        gram = xc.T @ xc
+        resid = yc - xc @ fit.beta
+        sigma2 = float(resid @ resid) / (80 - 5)  # ridge residual dof: n - m
+        w = np.linalg.inv(gram + 3.0 * np.eye(5))
+        se = np.sqrt(np.diag(sigma2 * w @ gram @ w))
         assert np.allclose(fit.t_stats, fit.beta / se, rtol=1e-10)
         assert [r.t for r in report.rows] == [float(t) for t in fit.t_stats]
         assert [r.p for r in report.rows] == [float(p) for p in fit.p_values]
@@ -527,8 +552,7 @@ class TestSelectFeatures:
     def test_json_roundtrip(self, tmp_path):
         fit = RegressionFit(
             beta=np.array([0.5, 0.0]), beta0=0.1, penalty=PenaltySpec("lasso", 0.2),
-            sigma2_hat=1.0, gram_eigenvalues=np.ones(2), support=(0,), converged=True,
-            iterations=2, n_obs=30, dof=27, gram=np.eye(2),
+            support=(0,), converged=True, iterations=2,
         )
         report = regsel.select_features(fit, ["u", "v"], dataset_label="scad")
         path = tmp_path / "sel.json"
@@ -541,8 +565,7 @@ class TestSelectFeatures:
     def test_csv_columns(self):
         fit = RegressionFit(
             beta=np.array([0.5]), beta0=0.0, penalty=PenaltySpec("lasso", 0.2),
-            sigma2_hat=1.0, gram_eigenvalues=np.ones(1), support=(0,), converged=True,
-            iterations=1, n_obs=10, dof=8, gram=np.eye(1),
+            support=(0,), converged=True, iterations=1,
         )
         report = regsel.select_features(fit, ["u"], dataset_label="scad")
         lines = report.to_csv_text().splitlines()

@@ -25,7 +25,11 @@ from pathlib import Path
 def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    try:
+        out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    except subprocess.CalledProcessError as exc:
+        print(f"{' '.join(cmd)} in {root} exited {exc.returncode}:\n{exc.stderr}", file=sys.stderr, end="")
+        raise
     machine = json.loads(next(line for line in out if line.startswith("machine: "))[len("machine: "):])
     return machine, json.loads(out[-1])
 
