@@ -144,12 +144,33 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_dict(result: pipeline.TrainResult, target_name: str) -> dict:
+def _checkpoint_dict(result: pipeline.TrainResult, frame, train_fraction: float) -> dict:
     d = neural.model_to_dict(result.model)
     d["scaler"] = result.scaler.to_json_dict()
     d["feature_names"] = list(result.feature_names)
-    d["target_name"] = target_name
+    d["target_name"] = frame.target_name
+    d["train_fraction"] = train_fraction
+    d["train_span_sha256"] = pipeline.training_span_sha256(
+        frame, result.feature_names, result.model.config.window, train_fraction
+    )
     return d
+
+
+def _check_training_span(ckpt: dict, frame, window: int, train_fraction: float) -> None:
+    """DataError unless the panel and train_fraction give the checkpoint's training span."""
+    missing = [k for k in ("train_fraction", "train_span_sha256") if k not in ckpt]
+    if missing:
+        raise DataError(f"checkpoint records no {' or '.join(missing)}; retrain it to evaluate it")
+    if ckpt["train_fraction"] != train_fraction:
+        raise DataError(
+            f"train_fraction {train_fraction} differs from the checkpoint's {ckpt['train_fraction']}"
+        )
+    digest = pipeline.training_span_sha256(frame, ckpt["feature_names"], window, train_fraction)
+    if digest != ckpt["train_span_sha256"]:
+        raise DataError(
+            "the panel's training-span rows differ from those the checkpoint was trained on "
+            f"(SHA-256 {digest[:12]}... against {ckpt['train_span_sha256'][:12]}...)"
+        )
 
 
 def cmd_train(args) -> int:
@@ -178,7 +199,7 @@ def cmd_train(args) -> int:
     )
     runtime = time.perf_counter() - t0
 
-    write_json(os.path.join(out, "checkpoint.json"), _checkpoint_dict(result, frame.target_name))
+    write_json(os.path.join(out, "checkpoint.json"), _checkpoint_dict(result, frame, config.train_fraction))
     write_json(
         os.path.join(out, "train_metrics.json"),
         result.metrics.to_json_dict() | {
@@ -213,6 +234,7 @@ def cmd_evaluate(args) -> int:
     split = pipeline.prepare_split(
         frame, feature_names, model.config.window, config.train_fraction, scaler
     )
+    _check_training_span(ckpt, frame, model.config.window, config.train_fraction)
     row, preds = pipeline.score_forecasts(model, split, frame.target_name)
     _, _, test_b = split
     write_json(os.path.join(out, "eval_metrics.json"), row.to_json_dict())

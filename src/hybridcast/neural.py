@@ -229,6 +229,13 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
     hidden output (zeros except the last step when only h_T feeds the
     head). Returns (dict of parameter gradients keyed like LstmParams
     fields, gradient w.r.t. the input sequence).
+
+    Only the recurrent path runs step by step: each step writes its four
+    gate pre-activation gradients, in f, i, g, o order, into one
+    (T, B, 4*hidden) buffer and carries dh into the step before through
+    the hidden-state block of the stacked (4*hidden, hidden+input) gate
+    matrix. The weight gradients of all steps are then one GEMM against
+    the stacked step inputs, and the input gradient is one more.
     """
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
     t_steps = len(states)
@@ -236,41 +243,33 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
     if grad_h_seq.shape != (batch, t_steps, hidden):
         raise ShapeError(f"grad_h_seq must be {(batch, t_steps, hidden)}, got {grad_h_seq.shape}")
 
-    grads = {name: np.zeros_like(getattr(params, name)) for name in
-             ("w_f", "w_i", "w_g", "w_o", "b_f", "b_i", "b_g", "b_o")}
-    input_size = params.input_size
-    grad_x = np.zeros((batch, t_steps, input_size))
-
+    w = np.concatenate([params.w_f, params.w_i, params.w_g, params.w_o])
+    w_h = w[:, :hidden]
+    da = np.empty((t_steps, batch, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
     for t in range(t_steps - 1, -1, -1):
         st = states[t]
         c_prev = states[t - 1].c if t > 0 else np.zeros((batch, hidden))
         dh = grad_h_seq[:, t, :] + dh_next
-        do = dh * st.tanh_c
         dc = dc_next + dh * st.o * (1.0 - st.tanh_c**2)
-        df = dc * c_prev
-        di = dc * st.z
-        dz = dc * st.i
-
-        da_f = df * st.f * (1.0 - st.f)
-        da_i = di * st.i * (1.0 - st.i)
-        da_g = dz * (1.0 - st.z**2)
-        da_o = do * st.o * (1.0 - st.o)
-
-        grads["w_f"] += da_f.T @ st.concat
-        grads["w_i"] += da_i.T @ st.concat
-        grads["w_g"] += da_g.T @ st.concat
-        grads["w_o"] += da_o.T @ st.concat
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-
-        dconcat = da_f @ params.w_f + da_i @ params.w_i + da_g @ params.w_g + da_o @ params.w_o
-        dh_next = dconcat[:, :hidden]
-        grad_x[:, t, :] = dconcat[:, hidden:]
+        da_f, da_i, da_g, da_o = np.split(da[t], 4, axis=1)
+        da_f[:] = dc * c_prev * st.f * (1.0 - st.f)
+        da_i[:] = dc * st.z * st.i * (1.0 - st.i)
+        da_g[:] = dc * st.i * (1.0 - st.z**2)
+        da_o[:] = dh * st.tanh_c * st.o * (1.0 - st.o)
+        dh_next = da[t] @ w_h
         dc_next = dc * st.f
+
+    da = da.reshape(t_steps * batch, 4 * hidden)
+    grad_w = da.T @ np.concatenate([st.concat for st in states])
+    grad_b = da.sum(axis=0)
+    grad_x = (da @ w[:, hidden:]).reshape(t_steps, batch, -1).transpose(1, 0, 2)
+    grads = {}
+    for k, gate in enumerate("figo"):
+        rows = slice(k * hidden, (k + 1) * hidden)
+        grads[f"w_{gate}"] = grad_w[rows]
+        grads[f"b_{gate}"] = grad_b[rows]
     return grads, grad_x
 
 

@@ -9,6 +9,7 @@ fixed table layout.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -440,6 +441,22 @@ def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[Windo
     return take(slice(0, k)), take(slice(k, n))
 
 
+def training_rows(n_rows: int, window: int, train_fraction: float) -> int:
+    """Leading panel rows the training samples read, inputs and targets: the scaler's span."""
+    return split_index(n_rows - window, train_fraction) + window
+
+
+def training_span_sha256(frame: TimeSeriesFrame, names: list[str], window: int, train_fraction: float) -> str:
+    """SHA-256 of the training_rows rows of the named columns, as little-endian f64 row by row.
+
+    A checkpoint records it so that scoring it against a different
+    training span fails loudly instead of reporting a shifted split.
+    """
+    rows = training_rows(len(frame), window, train_fraction)
+    span = np.ascontiguousarray(frame.values(names)[:rows], dtype="<f8")
+    return hashlib.sha256(span.tobytes()).hexdigest()
+
+
 def prepare_split(
     frame: TimeSeriesFrame,
     names: list[str],
@@ -454,9 +471,8 @@ def prepare_split(
     scaler of a trained model to rebuild exactly its training split.
     """
     sub = frame.subframe(names)
-    n_train = split_index(len(sub) - window, train_fraction)
     if scaler is None:
-        scaler = fit_scaler(sub, train_end_index=n_train + window)
+        scaler = fit_scaler(sub, train_end_index=training_rows(len(sub), window, train_fraction))
     batch = make_windows(scaler.transform(sub), window=window, original=sub)
     batch.check_no_lookahead()
     train_b, test_b = chrono_split(batch, train_fraction)

@@ -159,13 +159,14 @@ def _least_squares(x, y, penalty: PenaltySpec, center: bool, dof: int) -> Regres
         x, y = x - x_mean, y - y_mean
     gram = x.T @ x
     penalized = gram + penalty.lam * np.eye(m)
-    beta = numcore.solve_spd(penalized, x.T @ y)
+    # one factorization for the coefficients and W
+    solved = numcore.solve_spd(penalized, np.column_stack([x.T @ y, np.eye(m)]))
+    beta, w = solved[:, 0], solved[:, 1:]
     beta0 = y_mean - float(x_mean @ beta) if center else 0.0
     resid = y - x @ beta
     dof = max(dof, 1)
     sigma2 = float(resid @ resid) / dof
 
-    w = numcore.solve_spd(penalized, np.eye(m))
     se = np.sqrt(np.clip(np.diag(sigma2 * (w @ gram @ w.T)), 0.0, None))
     t = beta / np.maximum(se, 1e-300)
     p = 2.0 * scipy.stats.t.sf(np.abs(t), df=dof)

@@ -125,6 +125,39 @@ class TestTrainEvaluateCommands:
         for key in ("mse", "mae", "mape"):
             assert eval_metrics[key] == train_metrics[key]
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
+            (lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
+        ],
+        ids=["train_fraction", "panel"],
+    )
+    def test_evaluate_on_another_split_is_data_error(self, tiny_config, tmp_path, capsys, edit, named):
+        """A checkpoint scored against another train_fraction or another panel fails loudly."""
+        out = str(tmp_path / "o")
+        assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        edit(cfg)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(other), "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
+
+    def test_evaluate_unbound_checkpoint_is_data_error(self, tiny_config, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
+        path = os.path.join(out, "checkpoint.json")
+        ckpt = json.load(open(path))
+        del ckpt["train_span_sha256"]
+        with open(path, "w") as fh:
+            json.dump(ckpt, fh)
+        capsys.readouterr()
+        assert run("evaluate", "--config", tiny_config, "--out", out) == 2
+        assert "train_span_sha256" in capsys.readouterr().err
+
     def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")
         run("select", "--config", tiny_config, "--out", out)

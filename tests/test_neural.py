@@ -305,6 +305,53 @@ class TestLstm:
             assert np.allclose(grads[name], d.T @ st_.concat, atol=1e-12)
         assert np.allclose(grads["w_f"], 0.0)  # c_prev = 0 kills the forget path
 
+    @pytest.mark.parametrize("batch,t_steps,hidden,inp", [(64, 5, 32, 560), (64, 5, 32, 96), (3, 1, 32, 7)])
+    def test_backward_matches_per_gate_loop(self, batch, t_steps, hidden, inp, rng):
+        """The stacked-gate BPTT equals the per-step, per-gate loop to 1e-12 of the largest entry."""
+        params = LstmParams(
+            *[rng.standard_normal((hidden, hidden + inp)) * 0.1 for _ in range(4)],
+            *[rng.standard_normal(hidden) * 0.1 for _ in range(4)],
+        )
+        states, _ = lstm_forward(params, rng.standard_normal((batch, t_steps, inp)))
+        grad_h = rng.standard_normal((batch, t_steps, hidden))
+        grads, grad_x = lstm_backward(params, states, grad_h)
+        ref_grads, ref_grad_x = per_gate_lstm_backward(params, states, grad_h)
+        assert set(grads) == set(ref_grads)
+        for got, want in [(grads[k], ref_grads[k]) for k in ref_grads] + [(grad_x, ref_grad_x)]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def per_gate_lstm_backward(params, states, grad_h_seq):
+    """BPTT with two GEMMs per gate and step (weight and input gradient), as a reference."""
+    t_steps = len(states)
+    batch, hidden = states[-1].h.shape
+    grads = {name: np.zeros_like(getattr(params, name)) for name in
+             ("w_f", "w_i", "w_g", "w_o", "b_f", "b_i", "b_g", "b_o")}
+    grad_x = np.zeros((batch, t_steps, params.input_size))
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in range(t_steps - 1, -1, -1):
+        st_ = states[t]
+        c_prev = states[t - 1].c if t > 0 else np.zeros((batch, hidden))
+        dh = grad_h_seq[:, t, :] + dh_next
+        dc = dc_next + dh * st_.o * (1.0 - st_.tanh_c**2)
+        da = {
+            "f": dc * c_prev * st_.f * (1.0 - st_.f),
+            "i": dc * st_.z * st_.i * (1.0 - st_.i),
+            "g": dc * st_.i * (1.0 - st_.z**2),
+            "o": dh * st_.tanh_c * st_.o * (1.0 - st_.o),
+        }
+        dconcat = np.zeros((batch, st_.concat.shape[1]))
+        for gate, d in da.items():
+            grads[f"w_{gate}"] += d.T @ st_.concat
+            grads[f"b_{gate}"] += d.sum(axis=0)
+            dconcat += d @ getattr(params, f"w_{gate}")
+        dh_next = dconcat[:, :hidden]
+        grad_x[:, t, :] = dconcat[:, hidden:]
+        dc_next = dc * st_.f
+    return grads, grad_x
+
 
 class TestDense:
     def test_constant_head(self):

@@ -319,6 +319,39 @@ class TestChronoSplit:
         with pytest.raises(InsufficientDataError):
             pipeline.prepare_split(simple_frame(n=6), ["price", "x1"], window=5, train_fraction=0.9)
 
+    @given(
+        window=st.integers(1, 10),
+        train_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        extra_rows=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        edit=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prepare_split_never_reads_the_test_span(self, window, train_fraction, extra_rows, seed, edit):
+        """No window ends at or after its target, training targets precede test targets, and
+        editing any row at or after n_train + window leaves the scaler and the training
+        samples bit-identical."""
+        n = window + extra_rows
+        values = np.random.default_rng(seed).standard_normal((n, 3))
+        names = ["price", "x1", "x2"]
+
+        def split(mat):
+            frame = TimeSeriesFrame(days(n), {c: mat[:, j].copy() for j, c in enumerate(names)}, "price")
+            return pipeline.prepare_split(frame, names, window, train_fraction)
+
+        scaler, train_b, test_b = split(values)
+        for b in (train_b, test_b):
+            assert all(last < tgt for last, tgt in zip(b.input_last_dates, b.target_dates))
+        assert max(train_b.target_dates) < min(test_b.target_dates)
+
+        row = edit.draw(st.integers(len(train_b) + window, n - 1), label="edited row")
+        edited = values.copy()
+        edited[row] = edit.draw(st.floats(-1e6, 1e6), label="new value")
+        scaler2, train2, _ = split(edited)
+        assert np.array_equal(scaler2.mean, scaler.mean) and np.array_equal(scaler2.sd, scaler.sd)
+        assert np.array_equal(train2.inputs, train_b.inputs)
+        assert np.array_equal(train2.targets_std, train_b.targets_std)
+
 
 class TestEvaluate:
     def test_perfect(self):

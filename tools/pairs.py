@@ -10,7 +10,9 @@ the parent first on odd seeds and the change first on even ones, for the
 ``run_seconds`` of the change's ``BENCHMARK.json``. The output holds the
 machine info; per metric, both sides' median, Q1, Q3 and every value,
 and the number of pairs in which the change is lower (better); every
-run's correctness; and the ``src/`` line count of both checkouts.
+run's correctness; and the ``src/`` line count of both checkouts. For
+each workload and metric it prints one summary line: both medians, the
+change's median against the parent's in %, and the pairs the change won.
 """
 from __future__ import annotations
 
@@ -43,6 +45,14 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def summary_line(workload: str, name: str, metric: dict, pairs: int) -> str:
+    """Both medians, the change's median against the parent's in %, and the pairs it won."""
+    parent, change = metric["parent"]["median"], metric["change"]["median"]
+    delta = f"{100.0 * (change - parent) / parent:+.1f}%" if parent else "n/a"
+    return (f"{workload} {name}: parent {parent:.4g}, change {change:.4g} ({delta}), "
+            f"change lower in {metric['change_lower']}/{pairs} pairs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -71,6 +81,7 @@ def main(argv=None) -> int:
                 change_lower=sum(c < p for p, c in zip(values["parent"], values["change"])),
                 values=values,
             )
+            print(summary_line(workload, name, metrics[name], args.pairs), flush=True)
         report["workloads"][workload] = {
             "metrics": metrics,
             "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
