@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -16,14 +15,8 @@ import time
 from . import gradcheck as gradcheck_mod
 from . import neural, pipeline, synth
 from .config import ExperimentConfig, load_experiment_config, load_panel
-from .errors import (
-    ConfigError,
-    DataError,
-    HybridcastError,
-    MissingInputError,
-    NumericalError,
-)
-from .pipeline import atomic_write_text, write_json
+from .errors import ConfigError, DataError, HybridcastError, NumericalError
+from .jsonio import atomic_write_text, from_json, read_json, write_json
 from .regsel import SelectionReport
 
 EXIT_OK = 0
@@ -78,7 +71,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every gradient block")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-block", help=argparse.SUPPRESS)  # test hook
 
     p = sub.add_parser("synth", help="emit the synthetic panel CSV plus its ground truth")
     common(p)
@@ -101,12 +93,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _load_selection(path: str) -> SelectionReport:
-    if not os.path.exists(path):
-        raise MissingInputError(
-            f"selection file not found: {path} (run `hybridcast select` first)"
-        )
-    with open(path) as fh:
-        return SelectionReport.from_json_dict(json.load(fh))
+    raw = read_json(path, "selection file", DataError)
+    return SelectionReport.from_json_dict(raw, where=os.path.splitext(os.path.basename(path))[0])
 
 
 def _override(obj, **flags):
@@ -146,7 +134,7 @@ def cmd_select(args) -> int:
 
 def _checkpoint_dict(result: pipeline.TrainResult, frame, train_fraction: float) -> dict:
     d = neural.model_to_dict(result.model)
-    d["scaler"] = result.scaler.to_json_dict()
+    d["scaler"] = result.scaler
     d["feature_names"] = list(result.feature_names)
     d["target_name"] = frame.target_name
     d["train_fraction"] = train_fraction
@@ -156,20 +144,20 @@ def _checkpoint_dict(result: pipeline.TrainResult, frame, train_fraction: float)
     return d
 
 
-def _check_training_span(ckpt: dict, frame, window: int, train_fraction: float) -> None:
+def _check_training_span(ckpt: dict, frame, names: list[str], window: int, train_fraction: float) -> None:
     """DataError unless the panel and train_fraction give the checkpoint's training span."""
     missing = [k for k in ("train_fraction", "train_span_sha256") if k not in ckpt]
     if missing:
         raise DataError(f"checkpoint records no {' or '.join(missing)}; retrain it to evaluate it")
-    if ckpt["train_fraction"] != train_fraction:
-        raise DataError(
-            f"train_fraction {train_fraction} differs from the checkpoint's {ckpt['train_fraction']}"
-        )
-    digest = pipeline.training_span_sha256(frame, ckpt["feature_names"], window, train_fraction)
-    if digest != ckpt["train_span_sha256"]:
+    recorded = from_json(float, ckpt["train_fraction"], "checkpoint.train_fraction", DataError)
+    if recorded != train_fraction:
+        raise DataError(f"train_fraction {train_fraction} differs from the checkpoint's {recorded}")
+    expected = from_json(str, ckpt["train_span_sha256"], "checkpoint.train_span_sha256", DataError)
+    digest = pipeline.training_span_sha256(frame, names, window, train_fraction)
+    if digest != expected:
         raise DataError(
             "the panel's training-span rows differ from those the checkpoint was trained on "
-            f"(SHA-256 {digest[:12]}... against {ckpt['train_span_sha256'][:12]}...)"
+            f"(SHA-256 {digest[:12]}... against {expected[:12]}...)"
         )
 
 
@@ -202,7 +190,7 @@ def cmd_train(args) -> int:
     write_json(os.path.join(out, "checkpoint.json"), _checkpoint_dict(result, frame, config.train_fraction))
     write_json(
         os.path.join(out, "train_metrics.json"),
-        result.metrics.to_json_dict() | {
+        dataclasses.asdict(result.metrics) | {
             "n_features": len(result.feature_names) - 1,
             "epochs": config.model.epochs,
             "history": list(result.history),
@@ -221,23 +209,19 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    ckpt_path = args.checkpoint or os.path.join(out, "checkpoint.json")
-    if not os.path.exists(ckpt_path):
-        raise MissingInputError(f"checkpoint not found: {ckpt_path}")
-    with open(ckpt_path) as fh:
-        ckpt = json.load(fh)
+    ckpt = read_json(args.checkpoint or os.path.join(out, "checkpoint.json"), "checkpoint", DataError)
     model = neural.model_from_dict(ckpt)
-    scaler = pipeline.StandardScaler.from_json_dict(ckpt["scaler"])
-    feature_names = list(ckpt["feature_names"])
+    scaler = from_json(pipeline.StandardScaler, ckpt.get("scaler"), "checkpoint.scaler", DataError)
+    feature_names = from_json(list[str], ckpt.get("feature_names"), "checkpoint.feature_names", DataError)
 
     frame, _ = load_panel(config.data)
     split = pipeline.prepare_split(
         frame, feature_names, model.config.window, config.train_fraction, scaler
     )
-    _check_training_span(ckpt, frame, model.config.window, config.train_fraction)
+    _check_training_span(ckpt, frame, feature_names, model.config.window, config.train_fraction)
     row, preds = pipeline.score_forecasts(model, split, frame.target_name)
     _, _, test_b = split
-    write_json(os.path.join(out, "eval_metrics.json"), row.to_json_dict())
+    write_json(os.path.join(out, "eval_metrics.json"), row)
     atomic_write_text(
         os.path.join(out, "eval_predictions.csv"),
         pipeline.predictions_csv_text(test_b.target_dates, test_b.targets_orig, preds),
@@ -272,7 +256,7 @@ def cmd_compare(args) -> int:
     report = pipeline.compare_variants(
         frame, rr, scad, config.model, config.seeds, config.train_fraction
     )
-    write_json(os.path.join(out, "comparison.json"), report.to_json_dict())
+    write_json(os.path.join(out, "comparison.json"), report)
     atomic_write_text(os.path.join(out, "comparison.txt"), report.to_text_table())
     atomic_write_text(os.path.join(out, "comparison_per_seed.csv"), report.per_seed_csv_text())
     print(report.to_text_table(), end="")
@@ -282,7 +266,7 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
-    checks = gradcheck_mod.run_gradient_checks(seed=args.seed, corrupt_block=args.corrupt_block)
+    checks = gradcheck_mod.run_gradient_checks(seed=args.seed)
     width = max(len(c.block) for c in checks) + 2
     for c in checks:
         status = "ok" if c.passed else "FAIL"
@@ -302,7 +286,7 @@ def cmd_synth(args) -> int:
     spec = _override(config.data.synthetic, n_days=args.n_days)
     frame, truth = synth.generate_synthetic_panel(spec)
     pipeline.write_frame_csv(frame, os.path.join(out, "panel.csv"))
-    write_json(os.path.join(out, "ground_truth.json"), truth.to_json_dict())
+    write_json(os.path.join(out, "ground_truth.json"), truth)
     print(
         f"panel.csv: {len(frame)} rows x {1 + len(frame.columns)} columns "
         f"(date + {len(frame.feature_names)} features + {frame.target_name!r})"

@@ -24,11 +24,10 @@ experiment):
 """
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .errors import ConfigError, MissingInputError, ParameterError
+from .errors import ConfigError
+from .jsonio import from_json, read_json
 from .neural import ModelConfig
 from .pipeline import SeriesFragment, TimeSeriesFrame, align_series, load_csv_series
 from .synth import GroundTruth, SyntheticSpec, generate_synthetic_panel
@@ -83,54 +82,16 @@ class ExperimentConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["data"]["synthetic"] = self.data.synthetic.to_json_dict()
-        return d
-
-
-def _check_keys(d: dict, cls, where: str) -> None:
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, ExperimentConfig, "config")
-    try:
-        data_raw = dict(raw.get("data", {}))
-        _check_keys(data_raw, DataConfig, "config.data")
-        synth_raw = data_raw.pop("synthetic", {})
-        data = DataConfig(**data_raw, synthetic=SyntheticSpec.from_json_dict(synth_raw))
-
-        sel_raw = dict(raw.get("selection", {}))
-        _check_keys(sel_raw, SelectionConfig, "config.selection")
-        selection = SelectionConfig(**sel_raw)
-
-        model = ModelConfig.from_json_dict(dict(raw.get("model", {})))
-        seeds = [int(s) for s in raw.get("seeds", [1, 2, 3])]
-        train_fraction = float(raw.get("train_fraction", 0.9))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        data=data, selection=selection, model=model, seeds=seeds, train_fraction=train_fraction
-    )
-
 
 def load_experiment_config(path: str | None) -> ExperimentConfig:
-    """Parse a config file; None gives the all-defaults synthetic experiment."""
+    """Parse a config file; None gives the all-defaults synthetic experiment.
+
+    Every key is type-checked and unknown keys are rejected; a bad value
+    raises ConfigError naming its dotted path, e.g. config.model.epochs.
+    """
     if path is None:
         return ExperimentConfig()
-    if not os.path.exists(path):
-        raise MissingInputError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return experiment_config_from_dict(raw)
+    return from_json(ExperimentConfig, read_json(path, "config file", ConfigError), "config", ConfigError)
 
 
 def load_panel(data: DataConfig) -> tuple[TimeSeriesFrame, GroundTruth | None]:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .neural import ForecastModel, ModelConfig, VARIANTS, mse_loss
 from .numcore import Rng
 
@@ -73,17 +72,9 @@ def _tiny_config(variant: str, seed: int) -> ModelConfig:
 
 
 def model_block_errors(
-    config: ModelConfig,
-    n_features: int = 3,
-    batch: int = 3,
-    seed: int = 1234,
-    corrupt_block: str | None = None,
+    config: ModelConfig, n_features: int = 3, batch: int = 3, seed: int = 1234
 ) -> dict[str, float]:
-    """Per-block max relative error for one model, including the input block.
-
-    corrupt_block deliberately perturbs that analytic gradient so the
-    failure path can be exercised.
-    """
+    """Per-block max relative error for one model, including the input block."""
     model = ForecastModel(config, n_features)
     data_rng = Rng(seed)
     windows = data_rng.normal(batch * config.window * n_features).reshape(
@@ -94,13 +85,6 @@ def model_block_errors(
     preds, cache = model.forward(windows)
     _, grad_pred = mse_loss(preds, targets)
     grads, grad_windows = model.backward(cache, grad_pred)
-    if corrupt_block is not None:
-        if corrupt_block in grads:
-            grads[corrupt_block] = grads[corrupt_block] + 0.5
-        elif corrupt_block == "input":
-            grad_windows = grad_windows + 0.5
-        else:
-            raise ParameterError(f"no such gradient block {corrupt_block!r}")
 
     def loss() -> float:
         return mse_loss(model.predict(windows), targets)[0]
@@ -113,12 +97,11 @@ def model_block_errors(
     return errors
 
 
-def run_gradient_checks(seed: int = 0, corrupt_block: str | None = None) -> list[BlockCheck]:
+def run_gradient_checks(seed: int = 0) -> list[BlockCheck]:
     """All per-block checks for each architecture variant (tiny dimensions)."""
     checks = []
     for variant in VARIANTS:
         config = _tiny_config(variant, seed)
-        corrupt = corrupt_block if variant == "dilated_cnn_lstm" else None
-        for block, err in model_block_errors(config, seed=seed + 17, corrupt_block=corrupt).items():
+        for block, err in model_block_errors(config, seed=seed + 17).items():
             checks.append(BlockCheck(f"{variant}/{block}", err))
     return checks

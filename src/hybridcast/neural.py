@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .errors import ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
+from .jsonio import from_json
 from .numcore import Rng
 
 VARIANTS = ("cnn", "lstm", "cnn_lstm", "dilated_cnn_lstm")
@@ -227,8 +228,9 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
 
     grad_h_seq is (B, T, hidden): the loss gradient w.r.t. each step's
     hidden output (zeros except the last step when only h_T feeds the
-    head). Returns (dict of parameter gradients keyed like LstmParams
-    fields, gradient w.r.t. the input sequence).
+    head). Returns (dict of parameter gradients keyed like the
+    ForecastModel parameters W_f ... b_o, gradient w.r.t. the input
+    sequence).
 
     Only the recurrent path runs step by step: each step writes its four
     gate pre-activation gradients, in f, i, g, o order, into one
@@ -268,7 +270,7 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
     grads = {}
     for k, gate in enumerate("figo"):
         rows = slice(k * hidden, (k + 1) * hidden)
-        grads[f"w_{gate}"] = grad_w[rows]
+        grads[f"W_{gate}"] = grad_w[rows]
         grads[f"b_{gate}"] = grad_b[rows]
     return grads, grad_x
 
@@ -395,17 +397,6 @@ class ModelConfig:
             raise ParameterError(f"only mse loss is supported, got {self.loss!r}")
         if self.init_scheme not in ("uniform", "zeros"):
             raise ParameterError(f"init_scheme must be 'uniform' or 'zeros', got {self.init_scheme!r}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ParameterError(f"unknown ModelConfig fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 class ForecastModel:
@@ -551,9 +542,7 @@ class ForecastModel:
             grad_h_seq = np.zeros((batch, t_steps, self.config.hidden_size))
             grad_h_seq[:, -1, :] = grad_head
             lstm_grads, grad_seq = lstm_backward(self.lstm, cache["states"], grad_h_seq)
-            for gate in ("f", "i", "g", "o"):
-                grads[f"W_{gate}"] = lstm_grads[f"w_{gate}"]
-                grads[f"b_{gate}"] = lstm_grads[f"b_{gate}"]
+            grads.update(lstm_grads)
         if v == "lstm":
             return grads, grad_seq
 
@@ -589,17 +578,29 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
-def decode_array(d: dict) -> np.ndarray:
-    if d.get("dtype") != "<f8":
-        raise ParameterError(f"unsupported checkpoint dtype {d.get('dtype')!r}")
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"]).copy()
+@dataclass
+class EncodedArray:
+    """A checkpoint parameter block as encode_array writes it."""
+
+    shape: list[int]
+    dtype: str
+    data: str
+
+
+def decode_array(enc: EncodedArray, where: str) -> np.ndarray:
+    if enc.dtype != "<f8":
+        raise DataError(f"{where}.dtype: expected '<f8', got {enc.dtype!r}")
+    try:
+        raw = base64.b64decode(enc.data, validate=True)
+        return np.frombuffer(raw, dtype="<f8").reshape(enc.shape).copy()
+    except ValueError as exc:  # bad base64, or bytes that do not fill the shape
+        raise DataError(f"{where}.data: {exc}") from exc
 
 
 def model_to_dict(model: ForecastModel) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.config.to_json_dict(),
+        "config": asdict(model.config),
         "seed": model.config.seed,
         "n_features": model.n_features,
         "params": {name: encode_array(p) for name, p in model.params.items()},
@@ -607,8 +608,12 @@ def model_to_dict(model: ForecastModel) -> dict:
 
 
 def model_from_dict(d: dict) -> ForecastModel:
-    if d.get("format_version") != CHECKPOINT_VERSION:
-        raise ParameterError(f"unsupported checkpoint version {d.get('format_version')!r}")
-    config = ModelConfig.from_json_dict(d["config"])
-    params = {name: decode_array(enc) for name, enc in d["params"].items()}
-    return ForecastModel(config, d["n_features"], params=params)
+    """Rebuild a model_to_dict model; a malformed or unsupported checkpoint raises DataError."""
+    version = d.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"checkpoint.format_version: expected {CHECKPOINT_VERSION}, got {version!r}")
+    config = from_json(ModelConfig, d.get("config"), "checkpoint.config", DataError)
+    n_features = from_json(int, d.get("n_features"), "checkpoint.n_features", DataError)
+    params = from_json(dict[str, EncodedArray], d.get("params"), "checkpoint.params", DataError)
+    arrays = {name: decode_array(enc, f"checkpoint.params.{name}") for name, enc in params.items()}
+    return ForecastModel(config, n_features, params=arrays)

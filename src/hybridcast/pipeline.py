@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 import os
-import tempfile
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -34,16 +32,10 @@ from .errors import (
     ScalingError,
     ShapeError,
 )
+from .jsonio import atomic_write_text
 from .neural import ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
 from .regsel import SelectionReport
 
-COMPARE_LABELS = (
-    "RR-CNN",
-    "RR-LSTM",
-    "RR-CNN-LSTM",
-    "RR-DILATED_CNN-LSTM",
-    "SCAD-DILATED_CNN-LSTM",
-)
 # (label, variant, which selection feeds it)
 COMPARE_CELLS = (
     ("RR-CNN", "cnn", "rr"),
@@ -52,26 +44,8 @@ COMPARE_CELLS = (
     ("RR-DILATED_CNN-LSTM", "dilated_cnn_lstm", "rr"),
     ("SCAD-DILATED_CNN-LSTM", "dilated_cnn_lstm", "scad"),
 )
+COMPARE_LABELS = tuple(label for label, _, _ in COMPARE_CELLS)
 CELL_SEED_STRIDE = 7919  # per-cell rng offset inside one comparison seed
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via temp file + rename so partial files never appear."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +284,6 @@ class StandardScaler:
         j = self._index(name)
         return np.asarray(values, dtype=np.float64) * self.sd[j] + self.mean[j]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "mean": [float(v) for v in self.mean],
-            "sd": [float(v) for v in self.sd],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StandardScaler":
-        return cls(names=list(d["names"]), mean=np.array(d["mean"]), sd=np.array(d["sd"]))
-
 
 def fit_scaler(frame: TimeSeriesFrame, train_end_index: int) -> StandardScaler:
     """Column means/sds (ddof=1) over rows [0, train_end_index)."""
@@ -519,9 +482,6 @@ class MetricsRow:
     mape: float
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MetricsReport:
@@ -530,17 +490,8 @@ class MetricsReport:
     rows: list[MetricsRow]  # one per label, metrics averaged over seeds
     per_seed: list[MetricsRow]
     seeds: list[int]
-    dilated_win_rate: float
+    dilated_vs_plain_win_rate: float
     dataset_label: str = "synthetic"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset_label": self.dataset_label,
-            "seeds": list(self.seeds),
-            "dilated_vs_plain_win_rate": self.dilated_win_rate,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "per_seed": [r.to_json_dict() for r in self.per_seed],
-        }
 
     def to_text_table(self) -> str:
         width = max(len(r.label) for r in self.rows) + 2
@@ -548,7 +499,7 @@ class MetricsReport:
         for r in self.rows:
             lines.append(f"{r.label:<{width}}{r.mse:>12.6f}{r.mae:>12.6f}{r.mape:>12.6f}")
         lines.append(
-            f"dilated-vs-plain win rate: {self.dilated_win_rate:.3f} over seeds {self.seeds}"
+            f"dilated-vs-plain win rate: {self.dilated_vs_plain_win_rate:.3f} over seeds {self.seeds}"
         )
         return "\n".join(lines) + "\n"
 
@@ -724,7 +675,7 @@ def compare_variants(
         for label in COMPARE_LABELS
     ]
     return MetricsReport(
-        rows=rows, per_seed=per_seed, seeds=list(seeds), dilated_win_rate=wins / len(seeds)
+        rows=rows, per_seed=per_seed, seeds=list(seeds), dilated_vs_plain_win_rate=wins / len(seeds)
     )
 
 

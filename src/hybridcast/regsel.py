@@ -24,7 +24,8 @@ import scipy.stats
 from scipy.linalg.blas import daxpy
 
 from . import numcore
-from .errors import ParameterError, ShapeError, SingularityError
+from .errors import DataError, ParameterError, ShapeError, SingularityError
+from .jsonio import from_json
 
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
 
@@ -489,10 +490,7 @@ class SelectionReport:
             "n_features": len(self.rows),
             "n_selected": self.n_selected,
             "selected_names": self.selected_names,
-            "rows": [
-                {"name": r.name, "coef": r.coef, "t": r.t, "p": r.p, "selected": r.selected}
-                for r in self.rows
-            ],
+            "rows": self.rows,  # write_json writes each SelectionRow by its fields
         }
 
     def to_csv_text(self) -> str:
@@ -512,14 +510,20 @@ class SelectionReport:
         return buf.getvalue()
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SelectionReport":
-        pen = d["penalty"]
-        penalty = PenaltySpec(pen["kind"], pen["lambda"], pen["a"] if pen.get("a") is not None else 3.7)
-        rows = [
-            SelectionRow(r["name"], r["coef"], r.get("t"), r.get("p"), r["selected"])
-            for r in d["rows"]
-        ]
-        return cls(rows=rows, penalty=penalty, dataset_label=d["dataset_label"], alpha=d.get("alpha"))
+    def from_json_dict(cls, d: dict, where: str = "selection") -> "SelectionReport":
+        """Inverse of to_json_dict; a malformed key raises DataError naming where.key.
+
+        The derived keys (n_features, n_selected, selected_names) are not read back.
+        """
+        pen = from_json(dict, d.get("penalty"), f"{where}.penalty", DataError)
+        lam = from_json(float, pen.get("lambda"), f"{where}.penalty.lambda", DataError)
+        spec = {"kind": pen.get("kind"), "lam": lam, "a": 3.7 if pen.get("a") is None else pen["a"]}
+        return cls(
+            rows=from_json(list[SelectionRow], d.get("rows"), f"{where}.rows", DataError),
+            penalty=from_json(PenaltySpec, spec, f"{where}.penalty", DataError),
+            dataset_label=from_json(str, d.get("dataset_label"), f"{where}.dataset_label", DataError),
+            alpha=from_json(float | None, d.get("alpha"), f"{where}.alpha", DataError),
+        )
 
 
 def select_features(

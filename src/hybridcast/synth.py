@@ -11,8 +11,7 @@ be scored exactly.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 
 import numpy as np
@@ -47,8 +46,6 @@ class SyntheticSpec:
     target_name: str = "price"
 
     def __post_init__(self):
-        if isinstance(self.start_date, str):
-            self.start_date = date.fromisoformat(self.start_date)
         self.true_support = tuple(int(j) for j in self.true_support)
         total = self.macro + self.financial_energy + self.blockchain
         if total != 53:
@@ -88,27 +85,6 @@ class SyntheticSpec:
             names.extend(f"{prefix}_{i + 1:02d}" for i in range(size))
         return names
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["true_support"] = list(self.true_support)
-        d["weights"] = list(self.weights) if self.weights is not None else None
-        d["start_date"] = self.start_date.isoformat()
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SyntheticSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ParameterError(f"unknown SyntheticSpec fields: {sorted(unknown)}")
-        d = dict(d)
-        if "true_support" in d:
-            d["true_support"] = tuple(d["true_support"])
-        if d.get("weights") is not None:
-            d["weights"] = tuple(d["weights"])
-        return cls(**d)
-
-
 @dataclass
 class GroundTruth:
     """Generating record: which features drive the target, and how."""
@@ -121,25 +97,6 @@ class GroundTruth:
     noise_sd: float
     target_base: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["support_indices"] = list(self.support_indices)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            support_indices=tuple(d["support_indices"]),
-            support_names=list(d["support_names"]),
-            weights={k: float(v) for k, v in d["weights"].items()},
-            lag=int(d["lag"]),
-            target_ar=float(d["target_ar"]),
-            noise_sd=float(d["noise_sd"]),
-            target_base=float(d["target_base"]),
-            seed=int(d["seed"]),
-        )
-
 
 def weekday_dates(start: date, n: int) -> list[date]:
     dates = []
@@ -223,8 +180,3 @@ def score_selection(report: SelectionReport, truth: GroundTruth) -> dict:
         "n_selected": len(selected),
         "covers_support": true.issubset(selected),
     }
-
-
-def load_ground_truth(path) -> GroundTruth:
-    with open(path) as fh:
-        return GroundTruth.from_json_dict(json.load(fh))

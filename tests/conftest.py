@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridcast.neural import ForecastModel
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 
 
@@ -19,3 +20,21 @@ def small_panel():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def offset_gradient(monkeypatch):
+    """offset_gradient(block) makes the dilated_cnn_lstm backward pass return block's gradient off by 0.5."""
+
+    def offset(block: str) -> None:
+        backward = ForecastModel.backward
+
+        def offset_backward(self, cache, grad_preds):
+            grads, grad_windows = backward(self, cache, grad_preds)
+            if self.config.variant == "dilated_cnn_lstm":
+                grads[block] = grads[block] + 0.5
+            return grads, grad_windows
+
+        monkeypatch.setattr(ForecastModel, "backward", offset_backward)
+
+    return offset

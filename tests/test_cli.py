@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hybridcast
 from hybridcast import cli
 
 TINY_CONFIG = {
@@ -262,8 +265,9 @@ class TestGradcheckCommand:
             assert block in out
         assert "worst relative error" in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert run("gradcheck", "--seed", "0", "--corrupt-block", "W_i") == 3
+    def test_corrupted_gradient_fails(self, capsys, offset_gradient):
+        offset_gradient("W_i")
+        assert run("gradcheck", "--seed", "0") == 3
         assert "W_i" in capsys.readouterr().err
 
 
@@ -286,3 +290,50 @@ class TestUsageErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"modle": {}}))
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+
+
+BAD_ROW_SELECTION = {
+    "dataset_label": "rr",
+    "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
+    "alpha": 0.05,
+    "rows": [{"name": "macro_01", "coef": 0.1, "t": 1.0, "p": 0.5, "selected": "no"}],
+}
+
+
+@pytest.mark.parametrize(
+    "name,doc,code,key",
+    [
+        ("config", {"model": {"epochs": "5"}}, 1, "config.model.epochs"),
+        ("config", {"seeds": "12"}, 1, "config.seeds"),
+        ("config", {"selection": {"alpha": "0.1"}}, 1, "config.selection.alpha"),
+        ("config", {"model": 3}, 1, "config.model"),
+        ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
+        ("rr_selection.json", {}, 2, "rr_selection.penalty"),
+        ("rr_selection.json", [1], 2, "rr_selection.json"),
+        ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
+        ("checkpoint.json", {"format_version": 1}, 2, "checkpoint.config"),
+        ("checkpoint.json", [1], 2, "checkpoint.json"),
+    ],
+    ids=[
+        "config-epochs-string", "config-seeds-string", "config-alpha-string", "config-model-number",
+        "config-unknown-model-key", "selection-empty", "selection-list", "selection-row-selected-string",
+        "checkpoint-no-config", "checkpoint-list",
+    ],
+)
+def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):
+    """A malformed config exits 1, a malformed selection report or checkpoint 2: one error line, no traceback."""
+    out = tmp_path / "o"
+    out.mkdir()
+    path = tmp_path / "bad.json" if name == "config" else out / name
+    path.write_text(json.dumps(doc))
+    config = str(path) if name == "config" else tiny_config
+    command = "evaluate" if name == "checkpoint.json" else "train"
+    src = os.path.dirname(os.path.dirname(hybridcast.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridcast.cli", command, "--config", config, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,14 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hybridcast.config import (
-    DataConfig,
-    ExperimentConfig,
-    experiment_config_from_dict,
-    load_experiment_config,
-    load_panel,
-)
+from hybridcast.config import DataConfig, ExperimentConfig, load_experiment_config, load_panel
 from hybridcast.errors import ConfigError, DataError, MissingInputError
+from hybridcast.jsonio import from_json
 
 
 def test_defaults_give_synthetic_experiment():
@@ -23,21 +18,14 @@ def test_defaults_give_synthetic_experiment():
     assert len(frame) == 1060
 
 
-def test_roundtrip_through_dict():
-    config = ExperimentConfig()
-    config.model.epochs = 12
-    again = experiment_config_from_dict(config.to_json_dict())
-    assert again.to_json_dict() == config.to_json_dict()
-
-
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="bogus"):
-        experiment_config_from_dict({"bogus": {}})
+    with pytest.raises(ConfigError, match="config.bogus"):
+        from_json(ExperimentConfig, {"bogus": {}}, "config", ConfigError)
 
 
 def test_bad_model_value_becomes_config_error():
-    with pytest.raises(ConfigError):
-        experiment_config_from_dict({"model": {"variant": "lstm", "epochs": -3}})
+    with pytest.raises(ConfigError, match="config.model: epochs must be >= 0"):
+        from_json(ExperimentConfig, {"model": {"variant": "lstm", "epochs": -3}}, "config", ConfigError)
 
 
 def test_csv_source_requires_paths():

@@ -479,9 +479,9 @@ class TestCompareVariants:
         rep1 = pipeline.compare_variants(frame, rr, scad, cfg, seeds=[5])
         rep2 = pipeline.compare_variants(frame, rr, scad, cfg, seeds=[5])
         assert [r.label for r in rep1.rows] == list(pipeline.COMPARE_LABELS)
-        assert 0.0 <= rep1.dilated_win_rate <= 1.0
+        assert 0.0 <= rep1.dilated_vs_plain_win_rate <= 1.0
         assert all(math.isfinite(v) for r in rep1.rows for v in (r.mse, r.mae, r.mape))
-        assert rep1.to_json_dict() == rep2.to_json_dict()
+        assert rep1 == rep2
 
     @pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
     def test_prepares_each_selection_once(self, small_panel, monkeypatch, seeds):

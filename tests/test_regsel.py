@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hybridcast import regsel
 from hybridcast.errors import ParameterError, SingularityError
-from hybridcast.pipeline import lagged_design, write_json
+from hybridcast.jsonio import write_json
+from hybridcast.pipeline import lagged_design
 from hybridcast.regsel import PenaltySpec, RegressionFit
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 

@@ -3,7 +3,7 @@ import pytest
 
 from hybridcast import regsel, synth
 from hybridcast.errors import ParameterError
-from hybridcast.pipeline import lagged_design, write_json
+from hybridcast.pipeline import lagged_design
 from hybridcast.synth import GroundTruth, SyntheticSpec, generate_synthetic_panel
 
 
@@ -23,11 +23,6 @@ class TestSpecValidation:
     def test_weights_length_checked(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(true_support=(1, 2), weights=(1.0,))
-
-    def test_json_roundtrip(self):
-        spec = SyntheticSpec(n_days=50, seed=9, weights=(1.0, -1.0, 2.0, 0.5, 1.5))
-        again = SyntheticSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
 
 
 class TestGeneration:
@@ -120,9 +115,3 @@ class TestScoring:
         assert score["precision"] == pytest.approx(0.5)
         assert score["recall"] == pytest.approx(0.5)
         assert not score["covers_support"]
-
-    def test_ground_truth_json_roundtrip(self, tmp_path):
-        _, truth = generate_synthetic_panel(SyntheticSpec(n_days=30, seed=2))
-        path = tmp_path / "gt.json"
-        write_json(path, truth.to_json_dict())
-        assert synth.load_ground_truth(path) == truth
