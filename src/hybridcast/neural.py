@@ -8,6 +8,13 @@ Four wirings of the same pieces are supported (see ForecastModel):
   cnn_lstm         conv(d=1, shape-preserving) -> per-step flatten -> LSTM -> head
   dilated_cnn_lstm same, with dilation d >= 2 and padding p = d
 
+The LSTM variants compute the input side of the gates for all T steps as
+one GEMM before the recurrence. In cnn_lstm and dilated_cnn_lstm nothing
+nonlinear sits between the conv and the gates, so conv then input weights
+is one linear map of the padded window, applied through weights composed
+once per forward (ForecastModel._input_weights). An activation after the
+conv would break this. Parameters and checkpoints keep the unfolded blocks.
+
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
 gradcheck).
@@ -25,6 +32,7 @@ from .jsonio import from_json
 from .numcore import Rng
 
 VARIANTS = ("cnn", "lstm", "cnn_lstm", "dilated_cnn_lstm")
+LSTM_KEYS = ("W_f", "W_i", "W_g", "W_o", "b_f", "b_i", "b_g", "b_o")
 KERNEL_SIZE = 3
 
 
@@ -137,7 +145,12 @@ class Conv2dLayer:
 
 @dataclass
 class LstmParams:
-    """Gate weights over the concatenated [h_prev, x_t] plus biases."""
+    """Gate weights over the concatenated [h_prev, x_t] plus biases.
+
+    w and b stack the four gates in f, i, g, o order as (4*hidden,
+    hidden+input) and (4*hidden,). They are copies taken at construction,
+    so build a new LstmParams after changing a gate array.
+    """
 
     w_f: np.ndarray
     w_i: np.ndarray
@@ -147,25 +160,25 @@ class LstmParams:
     b_i: np.ndarray
     b_g: np.ndarray
     b_o: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         hidden = self.w_f.shape[0]
         for name in ("w_f", "w_i", "w_g", "w_o"):
             w = getattr(self, name)
-            if w.ndim != 2 or w.shape[0] != hidden:
+            if w.ndim != 2 or w.shape != self.w_f.shape:
                 raise ShapeError(f"{name} must be (hidden, hidden+input), got {w.shape}")
         for name in ("b_f", "b_i", "b_g", "b_o"):
             b = getattr(self, name)
             if b.shape != (hidden,):
                 raise ShapeError(f"{name} must be ({hidden},), got {b.shape}")
+        self.w = np.concatenate([self.w_f, self.w_i, self.w_g, self.w_o])
+        self.b = np.concatenate([self.b_f, self.b_i, self.b_g, self.b_o])
 
     @property
     def hidden_size(self) -> int:
         return self.w_f.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
 
 
 @dataclass
@@ -178,7 +191,6 @@ class LstmState:
     i: np.ndarray
     z: np.ndarray
     o: np.ndarray
-    concat: np.ndarray = field(repr=False, default=None)
     tanh_c: np.ndarray = field(repr=False, default=None)
 
 
@@ -187,38 +199,39 @@ def lstm_zero_state(params: LstmParams, batch: int) -> LstmState:
     return LstmState(h=zeros, c=zeros.copy(), f=None, i=None, z=None, o=None)
 
 
-def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
-    """One recurrence step.
+def lstm_step(params: LstmParams, a_t: np.ndarray, prev: LstmState) -> LstmState:
+    """One recurrence step from the step's input pre-activations.
 
+    a_t (B, 4*hidden) is the input side x_t @ W_x.T + b of the four gates
+    in f, i, g, o order; the step adds the recurrent side h_prev @ W_h.T.
     f/i/o are sigmoid gates, z the tanh candidate; the cell update is
     c = f*c_prev + i*z and the hidden output h = o*tanh(c).
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 2 or x_t.shape[1] != params.input_size:
-        raise ShapeError(f"x_t must be (B, {params.input_size}), got {x_t.shape}")
-    if prev.h.shape[0] != x_t.shape[0]:
-        raise ShapeError(f"batch mismatch: h has {prev.h.shape[0]} rows, x_t {x_t.shape[0]}")
+    a_t = np.asarray(a_t, dtype=np.float64)
+    hidden = params.hidden_size
+    if a_t.ndim != 2 or a_t.shape[1] != 4 * hidden:
+        raise ShapeError(f"a_t must be (B, {4 * hidden}), got {a_t.shape}")
+    if prev.h.shape[0] != a_t.shape[0]:
+        raise ShapeError(f"batch mismatch: h has {prev.h.shape[0]} rows, a_t {a_t.shape[0]}")
 
-    concat = np.concatenate([prev.h, x_t], axis=1)
-    f = sigmoid(concat @ params.w_f.T + params.b_f)
-    i = sigmoid(concat @ params.w_i.T + params.b_i)
-    z = np.tanh(concat @ params.w_g.T + params.b_g)
-    o = sigmoid(concat @ params.w_o.T + params.b_o)
+    a = a_t + prev.h @ params.w[:, :hidden].T
+    f, i, o = (sigmoid(a[:, k * hidden : (k + 1) * hidden]) for k in (0, 1, 3))
+    z = np.tanh(a[:, 2 * hidden : 3 * hidden])
     c = f * prev.c + i * z
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    return LstmState(h=h, c=c, f=f, i=i, z=z, o=o, concat=concat, tanh_c=tanh_c)
+    return LstmState(h=h, c=c, f=f, i=i, z=z, o=o, tanh_c=tanh_c)
 
 
-def lstm_forward(params: LstmParams, x_seq: np.ndarray):
-    """Run the cell over (B, T, input); returns (states per step, h_T)."""
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 3:
-        raise ShapeError(f"x_seq must be (B, T, input), got {x_seq.shape}")
-    state = lstm_zero_state(params, x_seq.shape[0])
+def lstm_forward(params: LstmParams, a_x: np.ndarray):
+    """Run the cell over input pre-activations (T, B, 4*hidden); returns (states per step, h_T)."""
+    a_x = np.asarray(a_x, dtype=np.float64)
+    if a_x.ndim != 3:
+        raise ShapeError(f"a_x must be (T, B, {4 * params.hidden_size}), got {a_x.shape}")
+    state = lstm_zero_state(params, a_x.shape[1])
     states = []
-    for t in range(x_seq.shape[1]):
-        state = lstm_step(params, x_seq[:, t, :], state)
+    for a_t in a_x:
+        state = lstm_step(params, a_t, state)
         states.append(state)
     return states, states[-1].h
 
@@ -228,16 +241,11 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
 
     grad_h_seq is (B, T, hidden): the loss gradient w.r.t. each step's
     hidden output (zeros except the last step when only h_T feeds the
-    head). Returns (dict of parameter gradients keyed like the
-    ForecastModel parameters W_f ... b_o, gradient w.r.t. the input
-    sequence).
-
-    Only the recurrent path runs step by step: each step writes its four
-    gate pre-activation gradients, in f, i, g, o order, into one
-    (T, B, 4*hidden) buffer and carries dh into the step before through
-    the hidden-state block of the stacked (4*hidden, hidden+input) gate
-    matrix. The weight gradients of all steps are then one GEMM against
-    the stacked step inputs, and the input gradient is one more.
+    head). Returns (da, grad_w_h, grad_b): the gate pre-activation
+    gradients (T*B, 4*hidden), rows in (t, b) order and gates in f, i, g,
+    o order, and the gradients of W_h = w[:, :hidden] and of b. The input
+    side is the caller's, so its gradients are da.T @ inputs and da @ W_x.
+    Only dh runs step by step; the W_h gradient is one GEMM after the loop.
     """
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
     t_steps = len(states)
@@ -245,8 +253,7 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
     if grad_h_seq.shape != (batch, t_steps, hidden):
         raise ShapeError(f"grad_h_seq must be {(batch, t_steps, hidden)}, got {grad_h_seq.shape}")
 
-    w = np.concatenate([params.w_f, params.w_i, params.w_g, params.w_o])
-    w_h = w[:, :hidden]
+    w_h = params.w[:, :hidden]
     da = np.empty((t_steps, batch, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
@@ -264,15 +271,8 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
         dc_next = dc * st.f
 
     da = da.reshape(t_steps * batch, 4 * hidden)
-    grad_w = da.T @ np.concatenate([st.concat for st in states])
-    grad_b = da.sum(axis=0)
-    grad_x = (da @ w[:, hidden:]).reshape(t_steps, batch, -1).transpose(1, 0, 2)
-    grads = {}
-    for k, gate in enumerate("figo"):
-        rows = slice(k * hidden, (k + 1) * hidden)
-        grads[f"W_{gate}"] = grad_w[rows]
-        grads[f"b_{gate}"] = grad_b[rows]
-    return grads, grad_x
+    h_prev = np.concatenate([np.zeros((batch, hidden))] + [st.h for st in states[:-1]])
+    return da, da.T @ h_prev, da.sum(axis=0)
 
 
 def dense_forward(w: np.ndarray, b: float, x: np.ndarray):
@@ -402,9 +402,10 @@ class ModelConfig:
 class ForecastModel:
     """One of the four variant networks over a T x F window.
 
-    Parameters live in a flat name -> array dict (the same arrays the
-    layer objects reference), which is what Adam updates in place and
-    what checkpoints serialize.
+    Parameters live in a flat name -> array dict, which is what Adam
+    updates in place and what checkpoints serialize. The cnn variant's
+    Conv2dLayer references these arrays; the LSTM variants read them
+    afresh in every forward.
     """
 
     def __init__(self, config: ModelConfig, n_features: int, params: dict | None = None):
@@ -414,10 +415,8 @@ class ForecastModel:
         self.n_features = n_features
         self.rng = Rng(config.seed)
 
-        v = config.variant
-        self._uses_conv = v != "lstm"
-        self._uses_lstm = v != "cnn"
-        d = config.dilation if v == "dilated_cnn_lstm" else 1
+        self._uses_conv = config.variant != "lstm"
+        self._uses_lstm = config.variant != "cnn"
 
         expected = self._block_shapes()
         if params is None:
@@ -428,7 +427,8 @@ class ForecastModel:
             if got != want:
                 raise ShapeError(f"parameter blocks {got} do not match expected {want}")
         self.params = params
-        self._bind_layers(d)
+        # only cnn runs the conv as a layer; the LSTM variants fold it into the gate weights
+        self.conv = None if self._uses_lstm else Conv2dLayer(params["conv_kernel"], params["conv_bias"], padding=1)
 
     # parameter blocks, in a fixed order so seeded init is reproducible
     def _block_shapes(self) -> dict:
@@ -439,10 +439,8 @@ class ForecastModel:
             shapes["conv_bias"] = (cfg.out_channels,)
         if self._uses_lstm:
             lstm_in = cfg.out_channels * self.n_features if self._uses_conv else self.n_features
-            for gate in ("f", "i", "g", "o"):
-                shapes[f"W_{gate}"] = (cfg.hidden_size, cfg.hidden_size + lstm_in)
-            for gate in ("f", "i", "g", "o"):
-                shapes[f"b_{gate}"] = (cfg.hidden_size,)
+            for name in LSTM_KEYS:
+                shapes[name] = (cfg.hidden_size, cfg.hidden_size + lstm_in) if name[0] == "W" else (cfg.hidden_size,)
             head_in = cfg.hidden_size
         else:
             head_in = cfg.out_channels * cfg.window * self.n_features
@@ -469,27 +467,6 @@ class ForecastModel:
             params[name] = np.asarray(params[name], dtype=np.float64).reshape(shape)
         return params
 
-    def _bind_layers(self, dilation: int) -> None:
-        if self._uses_conv:
-            padding = dilation if self._uses_lstm else 1
-            self.conv = Conv2dLayer(
-                kernel=self.params["conv_kernel"],
-                bias=self.params["conv_bias"],
-                dilation=dilation,
-                padding=padding,
-            )
-        else:
-            self.conv = None
-        if self._uses_lstm:
-            self.lstm = LstmParams(
-                w_f=self.params["W_f"], w_i=self.params["W_i"],
-                w_g=self.params["W_g"], w_o=self.params["W_o"],
-                b_f=self.params["b_f"], b_i=self.params["b_i"],
-                b_g=self.params["b_g"], b_o=self.params["b_o"],
-            )
-        else:
-            self.lstm = None
-
     def _check_windows(self, windows: np.ndarray) -> np.ndarray:
         w = np.asarray(windows, dtype=np.float64)
         if w.ndim == 2:
@@ -500,32 +477,63 @@ class ForecastModel:
             )
         return w
 
+    def _input_rows(self, x: np.ndarray) -> np.ndarray:
+        """What the LSTM input weights multiply at every step: (T*B, K), rows in (t, b) order.
+
+        lstm: the window row x[b, t]. Conv variants: the three dilated rows
+        xp[b, t + u*d] of the zero-padded window, u = 0, 1, 2, side by side.
+        """
+        b, t_steps, f = x.shape
+        if not self._uses_conv:
+            return x.transpose(1, 0, 2).reshape(t_steps * b, f)
+        d = self.config.dilation
+        xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))  # time-major padded window
+        xp[d : d + t_steps, :, d : d + f] = x.transpose(1, 0, 2)
+        rows = np.empty((t_steps, b, KERNEL_SIZE, f + 2 * d))
+        for u in range(KERNEL_SIZE):
+            rows[:, :, u] = xp[u * d : u * d + t_steps]
+        return rows.reshape(t_steps * b, -1)
+
+    def _input_weights(self, lstm: LstmParams):
+        """(E, e0, cache): the input pre-activations are rows @ E.T + b + e0.
+
+        lstm: E is the input block W_x of the stacked gate matrix, e0 = 0.
+        Conv variants: the conv output feeds the gates with nothing
+        nonlinear between them, so conv then W_x is one linear map of the
+        padded window. E[g, u, f'] = sum_{c,v} W_x[g, c, f'-v*d] K[c, u, v]
+        (4*hidden, 3, F+2d) and e0 = W_x.sum(f) @ conv_bias.
+        """
+        w_x = lstm.w[:, lstm.hidden_size :]
+        if not self._uses_conv:
+            return w_x, 0.0, None
+        d, f = self.config.dilation, self.n_features
+        kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)  # (C, 9)
+        # W_x with the channel first: w_t[c, g*F + f] = W_x[g, c*F + f]
+        w_t = w_x.reshape(len(w_x), -1, f).transpose(1, 0, 2).reshape(len(kernel), -1)
+        taps = (kernel.T @ w_t).reshape(KERNEL_SIZE, KERNEL_SIZE, len(w_x), f)
+        e = np.zeros((len(w_x), KERNEL_SIZE, f + 2 * d))
+        for v in range(KERNEL_SIZE):
+            e[:, :, v * d : v * d + f] += taps[:, v].transpose(1, 0, 2)
+        w_sums = w_t.reshape(len(kernel), len(w_x), f).sum(axis=2)  # (C, 4*hidden)
+        return e.reshape(len(w_x), -1), self.params["conv_bias"] @ w_sums, (w_t, w_sums)
+
     def forward(self, windows: np.ndarray):
         """Predictions (B,) for a batch of standardized windows, plus cache."""
         x = self._check_windows(windows)
-        cache = {"batch": x.shape[0]}
-        v = self.config.variant
-
-        if v == "lstm":
-            seq = x
+        cache = {"shape": x.shape}
+        if self.conv is not None:
+            conv_out, cache["conv"] = self.conv.forward(x[:, None, :, :])
+            head_in = conv_out.reshape(x.shape[0], -1)
         else:
-            conv_out, conv_cache = self.conv.forward(x[:, None, :, :])
-            cache["conv"] = conv_cache
-            if v == "cnn":
-                head_in = conv_out.reshape(x.shape[0], -1)
-            else:
-                # per-timestep flatten: (B, C, T, F) -> (B, T, C*F)
-                cache["conv_out_shape"] = conv_out.shape
-                seq = conv_out.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[1], -1)
+            lstm = LstmParams(*(self.params[k] for k in LSTM_KEYS))
+            rows = self._input_rows(x)
+            e, e0, w_cache = self._input_weights(lstm)
+            a_x = rows @ e.T
+            a_x += lstm.b + e0
+            states, head_in = lstm_forward(lstm, a_x.reshape(x.shape[1], x.shape[0], -1))
+            cache.update(lstm=lstm, states=states, rows=rows, e=e, w_cache=w_cache)
 
-        if self._uses_lstm:
-            states, h_last = lstm_forward(self.lstm, seq)
-            cache["states"] = states
-            cache["seq_shape"] = seq.shape
-            head_in = h_last
-
-        preds, dense_cache = dense_forward(self.params["dense_w"], float(self.params["dense_b"]), head_in)
-        cache["dense"] = dense_cache
+        preds, cache["dense"] = dense_forward(self.params["dense_w"], float(self.params["dense_b"]), head_in)
         return preds, cache
 
     def backward(self, cache: dict, grad_preds: np.ndarray):
@@ -535,26 +543,53 @@ class ForecastModel:
             self.params["dense_w"], cache["dense"], grad_preds
         )
         grads["dense_b"] = np.asarray(gb, dtype=np.float64).reshape(())
-        v = self.config.variant
+        if self.conv is not None:
+            grad_img, grads["conv_kernel"], grads["conv_bias"] = self.conv.backward(
+                cache["conv"], grad_head.reshape(cache["conv"]["out_shape"])
+            )
+            return grads, grad_img[:, 0, :, :]
 
-        if self._uses_lstm:
-            batch, t_steps, _ = cache["seq_shape"]
-            grad_h_seq = np.zeros((batch, t_steps, self.config.hidden_size))
-            grad_h_seq[:, -1, :] = grad_head
-            lstm_grads, grad_seq = lstm_backward(self.lstm, cache["states"], grad_h_seq)
-            grads.update(lstm_grads)
-        if v == "lstm":
-            return grads, grad_seq
-
-        if v == "cnn":
-            grad_conv_out = grad_head.reshape(cache["conv"]["out_shape"])
+        b, t_steps, f = cache["shape"]
+        hidden = self.config.hidden_size
+        grad_h_seq = np.zeros((b, t_steps, hidden))
+        grad_h_seq[:, -1, :] = grad_head
+        da, grad_w_h, grad_b = lstm_backward(cache["lstm"], cache["states"], grad_h_seq)
+        grad_e = da.T @ cache["rows"]
+        grad_rows = da @ cache["e"]
+        if self._uses_conv:
+            grad_w_x, grads["conv_kernel"], grads["conv_bias"], grad_x = self._conv_backward(
+                cache["w_cache"], grad_e, grad_b, grad_rows, cache["shape"]
+            )
         else:
-            b, c, t, f = cache["conv_out_shape"]
-            grad_conv_out = grad_seq.reshape(b, t, c, f).transpose(0, 2, 1, 3)
-        grad_img, grads["conv_kernel"], grads["conv_bias"] = self.conv.backward(
-            cache["conv"], grad_conv_out
-        )
-        return grads, grad_img[:, 0, :, :]
+            grad_w_x = grad_e
+            grad_x = grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
+        grad_w = np.concatenate([grad_w_h, grad_w_x], axis=1)
+        for k, gate in enumerate("figo"):
+            gate_rows = slice(k * hidden, (k + 1) * hidden)
+            grads[f"W_{gate}"] = grad_w[gate_rows]
+            grads[f"b_{gate}"] = grad_b[gate_rows]
+        return grads, grad_x
+
+    def _conv_backward(self, w_cache, grad_e, grad_b, grad_rows, shape):
+        """Map the gradients of E, e0 and the rows back to (W_x, kernel, conv_bias, window)."""
+        (w_t, w_sums), (b, t_steps, f) = w_cache, shape
+        d, n_gates = self.config.dilation, len(grad_b)
+        kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)
+        grad_e = grad_e.reshape(n_gates, KERNEL_SIZE, f + 2 * d)
+        grad_taps = np.empty((KERNEL_SIZE, KERNEL_SIZE, n_gates, f))
+        for v in range(KERNEL_SIZE):
+            grad_taps[:, v] = grad_e[:, :, v * d : v * d + f].transpose(1, 0, 2)
+        grad_taps = grad_taps.reshape(KERNEL_SIZE * KERNEL_SIZE, -1)
+        grad_kernel = (w_t @ grad_taps.T).reshape(self.params["conv_kernel"].shape)
+        grad_w_t = (kernel @ grad_taps).reshape(len(kernel), n_gates, f)
+        grad_w_t += self.params["conv_bias"][:, None, None] * grad_b[None, :, None]  # through e0
+        grad_w_x = grad_w_t.transpose(1, 0, 2).reshape(n_gates, -1)
+        grad_rows = grad_rows.reshape(t_steps, b, KERNEL_SIZE, f + 2 * d)
+        grad_xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
+        for u in range(KERNEL_SIZE):
+            grad_xp[u * d : u * d + t_steps] += grad_rows[:, :, u]
+        grad_x = grad_xp[d : d + t_steps, :, d : d + f].transpose(1, 0, 2)
+        return grad_w_x, grad_kernel, w_sums @ grad_b, grad_x
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         preds, _ = self.forward(windows)
@@ -616,4 +651,9 @@ def model_from_dict(d: dict) -> ForecastModel:
     n_features = from_json(int, d.get("n_features"), "checkpoint.n_features", DataError)
     params = from_json(dict[str, EncodedArray], d.get("params"), "checkpoint.params", DataError)
     arrays = {name: decode_array(enc, f"checkpoint.params.{name}") for name, enc in params.items()}
-    return ForecastModel(config, n_features, params=arrays)
+    if n_features < 1:
+        raise DataError(f"checkpoint.n_features: expected >= 1, got {n_features}")
+    try:
+        return ForecastModel(config, n_features, params=arrays)
+    except ShapeError as exc:
+        raise DataError(f"checkpoint.params: {exc}") from exc

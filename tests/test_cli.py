@@ -313,11 +313,16 @@ BAD_ROW_SELECTION = {
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
         ("checkpoint.json", {"format_version": 1}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
+        ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 3, "params": {}}, 2,
+         "checkpoint.params"),
+        ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 0, "params": {}}, 2,
+         "checkpoint.n_features"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-alpha-string", "config-model-number",
         "config-unknown-model-key", "selection-empty", "selection-list", "selection-row-selected-string",
-        "checkpoint-no-config", "checkpoint-list",
+        "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
+        "checkpoint-no-features",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

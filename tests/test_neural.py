@@ -206,10 +206,39 @@ def zero_lstm(hidden, inp):
     )
 
 
+def input_preacts(params, x):
+    """The input side x_t @ W_x.T + b of the gates: (B, I) -> (B, 4H), (B, T, I) -> (T, B, 4H).
+
+    Reads the gate arrays as they are now, so in-place edits to them count.
+    """
+    hidden = params.hidden_size
+    w_x = np.concatenate([params.w_f, params.w_i, params.w_g, params.w_o])[:, hidden:]
+    b = np.concatenate([params.b_f, params.b_i, params.b_g, params.b_o])
+    return (x.transpose(1, 0, 2) if x.ndim == 3 else x) @ w_x.T + b
+
+
+def lstm_grads(params, x, grad_h):
+    """lstm_forward and lstm_backward over x (B, T, I), with the input side's gradients added.
+
+    Returns (states, gradients keyed W_f ... b_o, gradient w.r.t. x).
+    """
+    states, _ = lstm_forward(params, input_preacts(params, x))
+    da, grad_w_h, grad_b = lstm_backward(params, states, grad_h)
+    batch, t_steps, inp = x.shape
+    hidden = params.hidden_size
+    grad_w = np.concatenate([grad_w_h, da.T @ x.transpose(1, 0, 2).reshape(-1, inp)], axis=1)
+    grad_x = (da @ params.w[:, hidden:]).reshape(t_steps, batch, inp).transpose(1, 0, 2)
+    grads = {}
+    for k, gate in enumerate("figo"):
+        grads[f"W_{gate}"] = grad_w[k * hidden : (k + 1) * hidden]
+        grads[f"b_{gate}"] = grad_b[k * hidden : (k + 1) * hidden]
+    return states, grads, grad_x
+
+
 class TestLstm:
     def test_zero_params_zero_cell(self):
         params = zero_lstm(3, 2)
-        state = lstm_step(params, np.zeros((1, 2)), lstm_zero_state(params, 1))
+        state = lstm_step(params, input_preacts(params, np.zeros((1, 2))), lstm_zero_state(params, 1))
         assert np.allclose(state.f, 0.5) and np.allclose(state.i, 0.5) and np.allclose(state.o, 0.5)
         assert np.allclose(state.z, 0.0)
         assert np.allclose(state.c, 0.0) and np.allclose(state.h, 0.0)
@@ -219,7 +248,7 @@ class TestLstm:
         prev = lstm_zero_state(params, 1)
         v = np.array([[0.4, -1.0, 2.0]])
         prev.c = v.copy()
-        state = lstm_step(params, np.zeros((1, 2)), prev)
+        state = lstm_step(params, input_preacts(params, np.zeros((1, 2))), prev)
         assert np.allclose(state.c, 0.5 * v)
         assert np.allclose(state.h, 0.5 * np.tanh(0.5 * v))
 
@@ -228,7 +257,7 @@ class TestLstm:
         params.b_f += 10.0  # sigmoid(10) ~ 1
         prev = lstm_zero_state(params, 1)
         prev.c = np.array([[1.5, -2.5]])
-        state = lstm_step(params, np.zeros((1, 2)), prev)
+        state = lstm_step(params, input_preacts(params, np.zeros((1, 2))), prev)
         assert np.allclose(state.f, 1.0, atol=1e-4)
         assert np.allclose(state.c, prev.c, atol=1e-3)
 
@@ -251,7 +280,7 @@ class TestLstm:
             *[rng.normal(3, 0, 1) for _ in range(4)],
         )
         x = rng.normal(2 * 2 * 2, 0, 1).reshape(2, 2, 2)
-        states, _ = lstm_forward(params, x)
+        states, _ = lstm_forward(params, input_preacts(params, x))
         for st_ in states:
             assert np.all((st_.f > 0) & (st_.f < 1))
             assert np.all((st_.i > 0) & (st_.i < 1))
@@ -263,7 +292,7 @@ class TestLstm:
         params = zero_lstm(2, 2)
         params.b_f += 500.0
         params.b_g -= 500.0
-        state = lstm_step(params, np.zeros((1, 2)), lstm_zero_state(params, 1))
+        state = lstm_step(params, input_preacts(params, np.zeros((1, 2))), lstm_zero_state(params, 1))
         assert np.all((state.f >= 0) & (state.f <= 1))
         assert np.all((state.z >= -1) & (state.z <= 1))
 
@@ -273,8 +302,7 @@ class TestLstm:
             *[rng.standard_normal(3) * 0.3 for _ in range(4)],
         )
         x = rng.standard_normal((2, 4, 2))
-        states, _ = lstm_forward(params, x)
-        grads, grad_x = lstm_backward(params, states, np.zeros((2, 4, 3)))
+        _, grads, grad_x = lstm_grads(params, x, np.zeros((2, 4, 3)))
         assert all(not g.any() for g in grads.values())
         assert not grad_x.any()
 
@@ -287,11 +315,11 @@ class TestLstm:
         )
         x = rng.standard_normal((1, 1, inp))
         grad_h = rng.standard_normal((1, 1, hidden))
-        states, _ = lstm_forward(params, x)
-        grads, grad_x = lstm_backward(params, states, grad_h)
+        states, grads, grad_x = lstm_grads(params, x, grad_h)
 
         # analytic single step: h = o * tanh(c), c = i*z (c_prev = 0, f irrelevant)
         st_ = states[0]
+        concat = np.concatenate([np.zeros((1, hidden)), x[:, 0, :]], axis=1)  # [h_prev, x_t]
         g = grad_h[:, 0, :]
         do = g * st_.tanh_c
         dc = g * st_.o * (1 - st_.tanh_c**2)
@@ -302,7 +330,7 @@ class TestLstm:
             "W_g": dz * (1 - st_.z**2),
         }
         for name, d in da.items():
-            assert np.allclose(grads[name], d.T @ st_.concat, atol=1e-12)
+            assert np.allclose(grads[name], d.T @ concat, atol=1e-12)
         assert np.allclose(grads["W_f"], 0.0)  # c_prev = 0 kills the forget path
 
     @pytest.mark.parametrize("batch,t_steps,hidden,inp", [(64, 5, 32, 560), (64, 5, 32, 96), (3, 1, 32, 7)])
@@ -312,28 +340,30 @@ class TestLstm:
             *[rng.standard_normal((hidden, hidden + inp)) * 0.1 for _ in range(4)],
             *[rng.standard_normal(hidden) * 0.1 for _ in range(4)],
         )
-        states, _ = lstm_forward(params, rng.standard_normal((batch, t_steps, inp)))
+        x = rng.standard_normal((batch, t_steps, inp))
         grad_h = rng.standard_normal((batch, t_steps, hidden))
-        grads, grad_x = lstm_backward(params, states, grad_h)
-        ref_grads, ref_grad_x = per_gate_lstm_backward(params, states, grad_h)
+        states, grads, grad_x = lstm_grads(params, x, grad_h)
+        ref_grads, ref_grad_x = per_gate_lstm_backward(params, states, grad_h, x)
         assert set(grads) == set(ref_grads)
         for got, want in [(grads[k], ref_grads[k]) for k in ref_grads] + [(grad_x, ref_grad_x)]:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def per_gate_lstm_backward(params, states, grad_h_seq):
+def per_gate_lstm_backward(params, states, grad_h_seq, x_seq):
     """BPTT with two GEMMs per gate and step (weight and input gradient), as a reference."""
     t_steps = len(states)
     batch, hidden = states[-1].h.shape
     grads = {f"W_{gate}": np.zeros_like(getattr(params, f"w_{gate}")) for gate in "figo"}
     grads.update({f"b_{gate}": np.zeros_like(getattr(params, f"b_{gate}")) for gate in "figo"})
-    grad_x = np.zeros((batch, t_steps, params.input_size))
+    grad_x = np.zeros_like(x_seq)
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
     for t in range(t_steps - 1, -1, -1):
         st_ = states[t]
         c_prev = states[t - 1].c if t > 0 else np.zeros((batch, hidden))
+        h_prev = states[t - 1].h if t > 0 else np.zeros((batch, hidden))
+        concat = np.concatenate([h_prev, x_seq[:, t, :]], axis=1)
         dh = grad_h_seq[:, t, :] + dh_next
         dc = dc_next + dh * st_.o * (1.0 - st_.tanh_c**2)
         da = {
@@ -342,15 +372,95 @@ def per_gate_lstm_backward(params, states, grad_h_seq):
             "g": dc * st_.i * (1.0 - st_.z**2),
             "o": dh * st_.tanh_c * st_.o * (1.0 - st_.o),
         }
-        dconcat = np.zeros((batch, st_.concat.shape[1]))
+        dconcat = np.zeros((batch, concat.shape[1]))
         for gate, d in da.items():
-            grads[f"W_{gate}"] += d.T @ st_.concat
+            grads[f"W_{gate}"] += d.T @ concat
             grads[f"b_{gate}"] += d.sum(axis=0)
             dconcat += d @ getattr(params, f"w_{gate}")
         dh_next = dconcat[:, :hidden]
         grad_x[:, t, :] = dconcat[:, hidden:]
         dc_next = dc * st_.f
     return grads, grad_x
+
+
+def unfolded_model(model, windows, grad_preds):
+    """Predictions, parameter gradients and window gradient of a model with an LSTM, unfolded.
+
+    The conv variants run Conv2dLayer, flatten each step's C x F outputs
+    channel-major and feed [h, x_t] through the stacked gate GEMM; lstm
+    feeds the window rows. Backward retraces the same steps.
+    """
+    p, cfg = model.params, model.config
+    hidden = cfg.hidden_size
+    w = np.concatenate([p[f"W_{gate}"] for gate in "figo"])
+    b = np.concatenate([p[f"b_{gate}"] for gate in "figo"])
+    batch, t_steps, n_feat = windows.shape
+    if cfg.variant == "lstm":
+        seq = windows
+    else:
+        conv = Conv2dLayer(p["conv_kernel"], p["conv_bias"], dilation=cfg.dilation, padding=cfg.dilation)
+        conv_out, conv_cache = conv.forward(windows[:, None, :, :])
+        seq = conv_out.transpose(0, 2, 1, 3).reshape(batch, t_steps, -1)
+
+    h, c, steps = np.zeros((batch, hidden)), np.zeros((batch, hidden)), []
+    for t in range(t_steps):
+        concat = np.concatenate([h, seq[:, t, :]], axis=1)
+        a = concat @ w.T + b
+        f, i, o = (1.0 / (1.0 + np.exp(-a[:, k * hidden : (k + 1) * hidden])) for k in (0, 1, 3))
+        z = np.tanh(a[:, 2 * hidden : 3 * hidden])
+        steps.append((concat, c, f, i, z, o))
+        c = f * c + i * z
+        h = o * np.tanh(c)
+    preds = h @ p["dense_w"] + p["dense_b"]
+
+    grads = {"dense_w": h.T @ grad_preds, "dense_b": grad_preds.sum()}
+    grad_w, grad_b, grad_seq = np.zeros_like(w), np.zeros_like(b), np.zeros_like(seq)
+    dh, dc_next = np.outer(grad_preds, p["dense_w"]), np.zeros((batch, hidden))
+    for t in range(t_steps - 1, -1, -1):
+        concat, c_prev, f, i, z, o = steps[t]
+        tanh_c = np.tanh(f * c_prev + i * z)
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        da = np.concatenate(
+            [dc * c_prev * f * (1 - f), dc * z * i * (1 - i), dc * i * (1 - z**2), dh * tanh_c * o * (1 - o)], axis=1
+        )
+        grad_w += da.T @ concat
+        grad_b += da.sum(axis=0)
+        dconcat = da @ w
+        dh, dc_next = dconcat[:, :hidden], dc * f
+        grad_seq[:, t, :] = dconcat[:, hidden:]
+    for k, gate in enumerate("figo"):
+        grads[f"W_{gate}"] = grad_w[k * hidden : (k + 1) * hidden]
+        grads[f"b_{gate}"] = grad_b[k * hidden : (k + 1) * hidden]
+    if cfg.variant == "lstm":
+        return preds, grads, grad_seq
+    grad_out = grad_seq.reshape(batch, t_steps, -1, n_feat).transpose(0, 2, 1, 3)
+    grad_img, grads["conv_kernel"], grads["conv_bias"] = conv.backward(conv_cache, grad_out)
+    return preds, grads, grad_img[:, 0, :, :]
+
+
+class TestFoldedInput:
+    """The model's composed input weights against the unfolded conv -> LSTM.
+
+    The fold is exact only while nothing nonlinear sits between the conv
+    and the LSTM gates; these tests are the guard.
+    """
+
+    @pytest.mark.parametrize(
+        "variant,dilation", [("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)]
+    )
+    def test_matches_unfolded_model(self, variant, dilation, rng):
+        cfg = ModelConfig(variant=variant, dilation=dilation, window=5, hidden_size=32, out_channels=16, seed=7)
+        model = ForecastModel(cfg, n_features=35)
+        windows = rng.standard_normal((64, 5, 35))
+        grad_preds = rng.standard_normal(64)
+        preds, cache = model.forward(windows)
+        grads, grad_x = model.backward(cache, grad_preds)
+        ref_preds, ref_grads, ref_grad_x = unfolded_model(model, windows, grad_preds)
+        assert set(grads) == set(ref_grads) == set(model.params)
+        pairs = [(preds, ref_preds), (grad_x, ref_grad_x)] + [(grads[k], ref_grads[k]) for k in model.params]
+        for got, want in pairs:
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDense:
