@@ -236,11 +236,10 @@ def cmd_compare(args) -> int:
     config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation)
     if args.seeds is not None:
         try:
-            config.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-        if not config.seeds:
-            raise ConfigError("--seeds must name at least one seed")
+        config = _override(config, seeds=seeds)
 
     frame, _ = load_panel(config.data)
 

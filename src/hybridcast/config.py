@@ -18,7 +18,7 @@ experiment):
         "scad_a": 3.7, "grid_points": 20
       },
       "model": { ...ModelConfig fields... },
-      "seeds": [1, 2, 3],                    # comparison seeds
+      "seeds": [1, 2, 3],                    # comparison seeds, distinct
       "train_fraction": 0.9
     }
 """
@@ -79,6 +79,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"seeds must be distinct: seed {repeated} is repeated")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 

@@ -20,8 +20,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 from scipy.linalg.blas import daxpy
+from scipy.special import stdtr
 
 from . import numcore
 from .errors import DataError, ParameterError, ShapeError, SingularityError
@@ -170,7 +170,7 @@ def _least_squares(x, y, penalty: PenaltySpec, center: bool, dof: int) -> Regres
 
     se = np.sqrt(np.clip(np.diag(sigma2 * (w @ gram @ w.T)), 0.0, None))
     t = beta / np.maximum(se, 1e-300)
-    p = 2.0 * scipy.stats.t.sf(np.abs(t), df=dof)
+    p = 2.0 * stdtr(dof, -np.abs(t))  # two-sided Student-t p-value; stdtr is the t(dof) CDF
     support = tuple(int(j) for j in np.nonzero(p < 0.05)[0])
     return RegressionFit(beta, beta0, penalty, support, converged=True, iterations=1, t_stats=t, p_values=p)
 

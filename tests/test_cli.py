@@ -107,6 +107,26 @@ class TestSelectCommand:
         for name in ("rr_selection.json", "scad_selection.json"):
             assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name))
 
+    def test_never_loads_scipy_stats(self, tiny_config, tmp_path):
+        """Importing the package and running select leaves scipy.stats unloaded: it would cost each stage ~0.6 s."""
+        probe = (
+            "import importlib, pkgutil, sys\n"
+            "import hybridcast\n"
+            "for mod in pkgutil.iter_modules(hybridcast.__path__):\n"
+            "    importlib.import_module('hybridcast.' + mod.name)\n"
+            "code = hybridcast.cli.main(['select', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n"
+            "sys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hybridcast.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, tiny_config, str(tmp_path / "o")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == ""
+        assert os.path.exists(tmp_path / "o" / "rr_selection.json")
+
 
 class TestTrainEvaluateCommands:
     def test_train_then_evaluate_reproduces_metrics(self, tiny_config, tmp_path):
@@ -305,6 +325,8 @@ BAD_ROW_SELECTION = {
     [
         ("config", {"model": {"epochs": "5"}}, 1, "config.model.epochs"),
         ("config", {"seeds": "12"}, 1, "config.seeds"),
+        ("config", {"seeds": [1, 1]}, 1, "seed 1 is repeated"),
+        ("--seeds", "1,1", 1, "seed 1 is repeated"),
         ("config", {"selection": {"alpha": "0.1"}}, 1, "config.selection.alpha"),
         ("config", {"model": 3}, 1, "config.model"),
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
@@ -319,23 +341,30 @@ BAD_ROW_SELECTION = {
          "checkpoint.n_features"),
     ],
     ids=[
-        "config-epochs-string", "config-seeds-string", "config-alpha-string", "config-model-number",
-        "config-unknown-model-key", "selection-empty", "selection-list", "selection-row-selected-string",
+        "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
+        "config-alpha-string", "config-model-number", "config-unknown-model-key",
+        "selection-empty", "selection-list", "selection-row-selected-string",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-no-features",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):
-    """A malformed config exits 1, a malformed selection report or checkpoint 2: one error line, no traceback."""
+    """A malformed config or flag exits 1, a malformed selection report or checkpoint 2: one error line, no traceback.
+
+    A name starting with "--" is a compare flag given the value `doc`; the rest name a JSON file holding `doc`.
+    """
     out = tmp_path / "o"
     out.mkdir()
-    path = tmp_path / "bad.json" if name == "config" else out / name
-    path.write_text(json.dumps(doc))
-    config = str(path) if name == "config" else tiny_config
-    command = "evaluate" if name == "checkpoint.json" else "train"
+    if name.startswith("--"):
+        command, config, flags = "compare", tiny_config, [name, doc]
+    else:
+        path = tmp_path / "bad.json" if name == "config" else out / name
+        path.write_text(json.dumps(doc))
+        config = str(path) if name == "config" else tiny_config
+        command, flags = ("evaluate" if name == "checkpoint.json" else "train"), []
     src = os.path.dirname(os.path.dirname(hybridcast.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "hybridcast.cli", command, "--config", config, "--out", str(out)],
+        [sys.executable, "-m", "hybridcast.cli", command, "--config", config, "--out", str(out), *flags],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == code, proc.stderr

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats  # the oracle for the ridge p-values; the package itself never loads it
 from hypothesis import example, given, settings, strategies as st
 
 from hybridcast import regsel
@@ -10,6 +11,7 @@ from hybridcast.jsonio import write_json
 from hybridcast.pipeline import lagged_design
 from hybridcast.regsel import PenaltySpec, RegressionFit
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
+from scipy.special import stdtr
 
 
 class TestPenaltySpec:
@@ -99,6 +101,28 @@ class TestRidge:
         y = rng.standard_normal(50)
         norms = [np.linalg.norm(regsel.ridge_fit(x, y, lam).beta) for lam in (0.1, 1.0, 10.0)]
         assert norms[0] >= norms[1] >= norms[2]
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 10, 50, 500, 1000, 1049, 100000])
+    def test_p_value_formula_is_student_t_sf_bit_for_bit(self, dof):
+        """2*stdtr(dof, -|t|) gives scipy.stats' two-sided t p-value, byte for byte."""
+        edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan]
+        grid = np.linspace(-40.0, 40.0, 2001)
+        tiny_to_huge = np.geomspace(1e-12, 1e12, 500)
+        t = np.concatenate([edges, grid, tiny_to_huge, -tiny_to_huge])
+        oracle = 2.0 * scipy.stats.t.sf(np.abs(t), df=dof)
+        assert (2.0 * stdtr(dof, -np.abs(t))).tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n,m,noise", [(80, 5, 1.0), (6, 5, 1.0), (4, 6, 1.0), (1100, 53, 0.3), (40, 4, 0.0)],
+                             ids=["n80-m5", "dof1", "wide", "default-panel-shape", "exact-fit"])
+    def test_ridge_p_values_are_student_t_sf_bit_for_bit(self, rng, n, m, noise):
+        """ridge_fit's p-values equal scipy.stats.t.sf on its t statistics at the residual dof max(n - m, 1)."""
+        x = rng.standard_normal((n, m))
+        x[:, -1] = 0.0  # a zero column: beta 0, se 0, t 0, p 1
+        y = x @ np.linspace(-1.0, 1.0, m) + noise * rng.standard_normal(n)
+        fit = regsel.ridge_fit(x, y, lam=0.5)
+        oracle = 2.0 * scipy.stats.t.sf(np.abs(fit.t_stats), df=max(n - m, 1))
+        assert fit.p_values.tobytes() == oracle.tobytes()
+        assert fit.p_values[-1] == 1.0
 
 
 class TestSoftThreshold:
