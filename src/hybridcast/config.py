@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .jsonio import from_json, read_json
 from .neural import ModelConfig
-from .pipeline import SeriesFragment, TimeSeriesFrame, align_series, load_csv_series
+from .pipeline import TimeSeriesFrame, align_series, load_csv_series
 from .synth import GroundTruth, SyntheticSpec, generate_synthetic_panel
 
 
@@ -101,26 +101,11 @@ def load_panel(data: DataConfig) -> tuple[TimeSeriesFrame, GroundTruth | None]:
     """Materialize the panel a config points at.
 
     The synthetic source also returns the generating record; CSV panels
-    return None for it. With several CSV files the first must contain
-    the target column and the rest are forward-filled onto its dates.
+    return None for it. CSV files are aligned by align_series: the file
+    holding the target column gives the dates, and every other column is
+    forward-filled onto them.
     """
     if data.source == "synthetic":
-        frame, truth = generate_synthetic_panel(data.synthetic)
-        return frame, truth
-
+        return generate_synthetic_panel(data.synthetic)
     fragments = [load_csv_series(p, date_column=data.date_column) for p in data.csv_paths]
-    target_frag = next((f for f in fragments if data.target_column in f.columns), None)
-    if target_frag is None:
-        raise ConfigError(f"target column {data.target_column!r} not found in any input file")
-
-    target_only = SeriesFragment(
-        dates=list(target_frag.dates),
-        columns={data.target_column: target_frag.columns[data.target_column]},
-    )
-    exo = []
-    for frag in fragments:
-        cols = {n: c for n, c in frag.columns.items() if n != data.target_column}
-        if cols:
-            exo.append(SeriesFragment(dates=list(frag.dates), columns=cols))
-    frame = align_series(target_only, exo, target_name=data.target_column)
-    return frame, None
+    return align_series(fragments, data.target_column), None

@@ -19,10 +19,11 @@ from datetime import date
 
 import numpy as np
 
-from . import neural, regsel
+from . import regsel
 from .errors import (
     CoverageError,
     CsvFormatError,
+    DataError,
     DivergenceError,
     DuplicateDateError,
     InsufficientDataError,
@@ -111,9 +112,10 @@ class TimeSeriesFrame:
         return np.column_stack([self.columns[n] for n in names])
 
     def subframe(self, names: list[str]) -> "TimeSeriesFrame":
+        """The named columns; the one check that a selection or checkpoint fits this panel."""
         missing = [n for n in names if n not in self.columns]
         if missing:
-            raise ParameterError(f"unknown columns {missing}")
+            raise DataError(f"columns {missing} are not in the panel")
         return TimeSeriesFrame(
             dates=list(self.dates),
             columns={n: self.columns[n].copy() for n in names},
@@ -211,22 +213,25 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     return SeriesFragment(dates=dates, columns={c: data[:, j].copy() for j, c in enumerate(wanted)})
 
 
-def align_series(
-    target: SeriesFragment,
-    exogenous: list[SeriesFragment],
-    target_name: str | None = None,
-) -> TimeSeriesFrame:
-    """Forward-fill every exogenous series onto the target's date index.
+def align_series(fragments: list[SeriesFragment], target_name: str) -> TimeSeriesFrame:
+    """Forward-fill every other column of the fragments onto the target's date index.
 
-    Markets trade on different calendars, so each exogenous value at a
-    target date is the most recent observation at or before it. Leading
-    target dates where some series has no observation yet are dropped;
-    a series with no usable overlap at all raises CoverageError.
+    The target's dates come from the fragment that holds the target
+    column; a column name may appear in one fragment only. Markets trade
+    on different calendars, so each value at a target date is the most
+    recent observation at or before it. Leading target dates where some
+    series has no observation yet are dropped; a series with no usable
+    overlap at all raises CoverageError.
     """
-    if target_name is None:
-        if len(target.columns) != 1:
-            raise ParameterError("target fragment has several columns; pass target_name")
-        target_name = next(iter(target.columns))
+    seen: set[str] = set()
+    for frag in fragments:
+        repeated = [name for name in frag.columns if name in seen]
+        if repeated:
+            raise DataError(f"column {repeated[0]!r} appears in more than one input file")
+        seen.update(frag.columns)
+    target = next((f for f in fragments if target_name in f.columns), None)
+    if target is None:
+        raise ParameterError(f"target column {target_name!r} not found in any input file")
     tgt = target.columns[target_name]
     if not np.all(np.isfinite(tgt)):
         raise CsvFormatError(f"target column {target_name!r} has missing values")
@@ -235,17 +240,15 @@ def align_series(
     target_days = np.array([d.toordinal() for d in target.dates], dtype=np.int64)
     aligned: dict[str, np.ndarray] = {target_name: tgt.copy()}
     first_valid = 0
-    for frag in exogenous:
+    for frag in fragments:
         frag_days = np.array([d.toordinal() for d in frag.dates], dtype=np.int64)
         for name, col in frag.columns.items():
-            if name in aligned:
-                raise ParameterError(f"duplicate column name {name!r} across fragments")
+            if name == target_name:
+                continue
             observed = np.isfinite(col)
             days, values = frag_days[observed], col[observed]
             if days.size == 0 or days[0] > target_days[-1]:
-                raise CoverageError(
-                    f"series {name!r} has no observations within the target span"
-                )
+                raise CoverageError(f"series {name!r} has no observations within the target span")
             last = np.searchsorted(days, target_days, side="right") - 1  # latest obs at or before
             aligned[name] = np.where(last >= 0, values[last], math.nan)
             first_valid = max(first_valid, int(np.argmax(last >= 0)))
@@ -321,8 +324,6 @@ class WindowBatch:
     targets_orig: np.ndarray
     target_dates: list[date]
     input_last_dates: list[date]
-    feature_names: list[str]
-    window: int
 
     def __len__(self) -> int:
         return len(self.targets_std)
@@ -371,8 +372,6 @@ def make_windows(
         targets_orig=targets_orig,
         target_dates=[frame.dates[i] for i in tgt_rows],
         input_last_dates=[frame.dates[i + window - 1] for i in range(n_samples)],
-        feature_names=names,
-        window=window,
     )
 
 
@@ -397,8 +396,6 @@ def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[Windo
             targets_orig=batch.targets_orig[sl],
             target_dates=batch.target_dates[sl],
             input_last_dates=batch.input_last_dates[sl],
-            feature_names=batch.feature_names,
-            window=batch.window,
         )
 
     return take(slice(0, k)), take(slice(k, n))
@@ -491,7 +488,6 @@ class MetricsReport:
     per_seed: list[MetricsRow]
     seeds: list[int]
     dilated_vs_plain_win_rate: float
-    dataset_label: str = "synthetic"
 
     def to_text_table(self) -> str:
         width = max(len(r.label) for r in self.rows) + 2
@@ -563,23 +559,12 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
     return history
 
 
-def restrict_features(frame: TimeSeriesFrame, selection) -> list[str]:
-    """Model input columns: target first, then the selected exogenous features.
+def restrict_features(frame: TimeSeriesFrame, selection: SelectionReport | None) -> list[str]:
+    """Model input columns: the target, then the selection's features (every feature for None).
 
-    selection may be a SelectionReport, an explicit name list, or None
-    for all features.
+    prepare_split's subframe rejects any name the panel lacks.
     """
-    if selection is None:
-        chosen = list(frame.feature_names)
-    elif isinstance(selection, SelectionReport):
-        selected = set(selection.selected_names)
-        chosen = [n for n in frame.feature_names if n in selected]
-    else:
-        known = set(frame.feature_names)
-        unknown = [n for n in selection if n not in known]
-        if unknown:
-            raise ParameterError(f"selected features not in panel: {unknown}")
-        chosen = [n for n in frame.feature_names if n in set(selection)]
+    chosen = list(frame.feature_names) if selection is None else selection.selected_names
     if not chosen:
         raise ParameterError("selection leaves no exogenous features")
     return [frame.target_name] + chosen
@@ -597,13 +582,13 @@ def score_forecasts(model: ForecastModel, split, target_name: str, label: str | 
 def fit_and_score(config: ModelConfig, split, target_name: str, label: str | None = None) -> TrainResult:
     """Train a fresh model on the training part of a prepare_split result and score it."""
     scaler, train_b, test_b = split
-    model = ForecastModel(config, n_features=len(train_b.feature_names))
+    model = ForecastModel(config, n_features=len(scaler.names))
     history = fit_arrays(model, train_b.inputs, train_b.targets_std)
     row, preds = score_forecasts(model, split, target_name, label)
     return TrainResult(
         model=model,
         scaler=scaler,
-        feature_names=list(train_b.feature_names),
+        feature_names=list(scaler.names),
         history=history,
         metrics=row,
         dates=list(test_b.target_dates),
@@ -614,7 +599,7 @@ def fit_and_score(config: ModelConfig, split, target_name: str, label: str | Non
 
 def train_model(
     frame: TimeSeriesFrame,
-    selection,
+    selection: SelectionReport | None,
     config: ModelConfig,
     label: str | None = None,
     train_fraction: float = 0.9,
@@ -642,8 +627,6 @@ def compare_variants(
     """
     if not seeds:
         raise ParameterError("need at least one seed")
-    if rr_selection.n_selected == 0 or scad_selection.n_selected == 0:
-        raise ParameterError("both selections must keep at least one feature")
     splits = {
         key: prepare_split(frame, restrict_features(frame, sel), base_config.window, train_fraction)
         for key, sel in (("rr", rr_selection), ("scad", scad_selection))
@@ -730,10 +713,7 @@ def select_panel_features(
     if scad_lambda is None:
         scad, _, _, _ = regsel.tune_penalized(x, y, "scad", a=scad_a, n_points=grid_points)
     else:
-        lasso = regsel.penalized_fit(x, y, regsel.PenaltySpec("lasso", float(scad_lambda), scad_a))
-        scad = regsel.penalized_fit(
-            x, y, regsel.PenaltySpec("scad", float(scad_lambda), scad_a), beta_init=lasso.beta
-        )
+        scad = regsel.scad_fit(x, y, float(scad_lambda), scad_a)
     if not scad.converged:
         warnings.warn(
             f"SCAD fit at lambda={scad.penalty.lam:g} did not converge in {scad.iterations} sweeps; "

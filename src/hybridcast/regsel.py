@@ -371,15 +371,33 @@ def penalized_fit(
     """
     if penalty.kind not in ("lasso", "scad"):
         raise ParameterError(f"penalized_fit handles lasso/scad, got {penalty.kind!r}")
+    return _fit(_sparse_design(x, y), penalty, tol, max_iter, beta_init)
+
+
+def _sparse_design(x, y) -> _Standardized:
     x, y = _check_xy(x, y)
     if x.shape[0] < 2:
         raise ParameterError("need at least 2 observations")
+    return _standardize(x, y)
 
-    d = _standardize(x, y)
+
+def _fit(d: _Standardized, penalty: PenaltySpec, tol: float, max_iter: int, beta_init) -> RegressionFit:
+    """One coordinate-descent fit on a standardized design, reported on the input scale."""
     beta, sweeps, converged, history = _descend(d, penalty, tol, max_iter, beta_init)
     beta_orig, beta0 = d.to_input_scale(beta)
     support = tuple(int(j) for j in np.nonzero(beta != 0.0)[0])
     return RegressionFit(beta_orig, beta0, penalty, support, converged, sweeps, objective_history=history)
+
+
+def _lasso_then(d: _Standardized, kind: str, lam: float, a: float, tol: float, max_iter: int, lasso_init) -> tuple:
+    """(lasso at lam from lasso_init, fit of kind at lam); SCAD starts from that lasso to tame its non-convexity."""
+    lasso = _fit(d, PenaltySpec("lasso", lam, a), tol, max_iter, lasso_init)
+    return lasso, (lasso if kind == "lasso" else _fit(d, PenaltySpec("scad", lam, a), tol, max_iter, lasso.beta))
+
+
+def scad_fit(x, y, lam: float, a: float = 3.7, tol: float = 1e-7, max_iter: int = 1000) -> RegressionFit:
+    """SCAD at a fixed lambda, warm-started from the lasso at that lambda on the same standardized design."""
+    return _lasso_then(_sparse_design(x, y), "scad", lam, a, tol, max_iter, None)[1]
 
 
 def lambda_max(x, y) -> float:
@@ -404,12 +422,11 @@ def tune_penalized(
     time ordered). The training rows are standardized once; the grid is
     `n_points` log-spaced values from their lambda_max down to
     1e-3 * lambda_max, and every path fit runs on that design, giving the
-    iterates penalized_fit would give at the same lambda and warm start.
-    SCAD fits warm-start from the lasso solution at the same lambda to
-    tame the non-convexity. Among grid points whose
-    validation MSE is within parsimony_ratio of the minimum, the largest
-    lambda wins (a one-standard-error-style rule; 1.0 recovers the pure
-    argmin).
+    iterates penalized_fit would give at the same lambda and warm start;
+    each SCAD fit starts from the lasso at its lambda, as in scad_fit.
+    Among grid points whose validation MSE is within parsimony_ratio of
+    the minimum, the largest lambda wins (a one-standard-error-style
+    rule; 1.0 recovers the pure argmin).
     Returns (refit on all rows at the winning lambda, winning lambda,
     grid, validation MSEs).
     """
@@ -435,15 +452,11 @@ def tune_penalized(
     lasso_warm = None
     for i, lam in enumerate(grid):
         # warm starts pass through the input scale, as with penalized_fit
-        lasso = _descend(d, PenaltySpec("lasso", float(lam), a), tol, max_iter, lasso_warm)[0]
-        beta_orig, beta0 = d.to_input_scale(lasso)
-        lasso_warm = beta_orig
-        if kind == "scad":
-            scad = _descend(d, PenaltySpec("scad", float(lam), a), tol, max_iter, lasso_warm)[0]
-            beta_orig, beta0 = d.to_input_scale(scad)
-        err = y_val - (beta0 + x_val @ beta_orig)
+        lasso, fit = _lasso_then(d, kind, float(lam), a, tol, max_iter, lasso_warm)
+        lasso_warm = lasso.beta
+        err = y_val - (fit.beta0 + x_val @ fit.beta)
         val_mse[i] = float(np.mean(err**2))
-        path_betas.append(beta_orig)
+        path_betas.append(fit.beta)
 
     cutoff = float(val_mse.min()) * parsimony_ratio
     best = int(np.argmax(val_mse <= cutoff))  # grid is descending, so first hit = largest lambda

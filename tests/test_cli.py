@@ -100,6 +100,19 @@ class TestSelectCommand:
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["price", "oil"])
+    def test_column_in_two_csvs_is_data_error(self, tmp_path, capsys, column):
+        """A column name, the target's included, may appear in only one input file."""
+        dates = [f"2020-01-{d:02d}" for d in range(1, 21)]
+        first = tmp_path / "a.csv"
+        first.write_text("date,price,oil\n" + "".join(f"{d},{10 + i},{i % 3}\n" for i, d in enumerate(dates)))
+        second = tmp_path / "b.csv"
+        second.write_text(f"date,{column},gas\n" + "".join(f"{d},{i % 4},{i % 5}\n" for i, d in enumerate(dates)))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"data": {"source": "csv", "csv_paths": [str(first), str(second)]}}))
+        assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert f"column {column!r} appears in more than one input file" in capsys.readouterr().err
+
     def test_byte_identical_rerun(self, tiny_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         run("select", "--config", tiny_config, "--out", out1)
@@ -153,11 +166,12 @@ class TestTrainEvaluateCommands:
         [
             (lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
             (lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
+            (lambda cfg: cfg["data"]["synthetic"].update(macro=12, financial_energy=26), "macro_13"),
         ],
-        ids=["train_fraction", "panel"],
+        ids=["train_fraction", "panel", "panel-lacks-column"],
     )
     def test_evaluate_on_another_split_is_data_error(self, tiny_config, tmp_path, capsys, edit, named):
-        """A checkpoint scored against another train_fraction or another panel fails loudly."""
+        """A checkpoint scored against another train_fraction or panel, or one lacking its columns, fails loudly."""
         out = str(tmp_path / "o")
         assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -319,6 +333,16 @@ BAD_ROW_SELECTION = {
     "rows": [{"name": "macro_01", "coef": 0.1, "t": 1.0, "p": 0.5, "selected": "no"}],
 }
 
+FOREIGN_COLUMN_SELECTION = {
+    "dataset_label": "rr",
+    "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
+    "alpha": 0.05,
+    "rows": [
+        {"name": "macro_01", "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True},
+        {"name": "macro_99", "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True},
+    ],
+}
+
 
 @pytest.mark.parametrize(
     "name,doc,code,key",
@@ -333,6 +357,7 @@ BAD_ROW_SELECTION = {
         ("rr_selection.json", {}, 2, "rr_selection.penalty"),
         ("rr_selection.json", [1], 2, "rr_selection.json"),
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
+        ("rr_selection.json", FOREIGN_COLUMN_SELECTION, 2, "macro_99"),
         ("checkpoint.json", {"format_version": 1}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
         ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 3, "params": {}}, 2,
@@ -343,7 +368,7 @@ BAD_ROW_SELECTION = {
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key",
-        "selection-empty", "selection-list", "selection-row-selected-string",
+        "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-no-features",
     ],

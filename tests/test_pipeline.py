@@ -29,6 +29,7 @@ from hybridcast.pipeline import (
     make_windows,
     train_model,
 )
+from hybridcast.regsel import PenaltySpec, SelectionReport, SelectionRow
 
 
 def days(n, start=date(2020, 1, 1)):
@@ -146,7 +147,7 @@ class TestAlignSeries:
         d = days(3)
         target = SeriesFragment(dates=d, columns={"price": np.array([1.0, 2.0, 3.0])})
         exo = SeriesFragment(dates=d, columns={"x": np.array([5.0, 6.0, 7.0])})
-        frame = align_series(target, [exo])
+        frame = align_series([target, exo], "price")
         assert frame.columns["x"] == pytest.approx([5.0, 6.0, 7.0])
         assert frame.target_name == "price"
 
@@ -154,14 +155,14 @@ class TestAlignSeries:
         d = days(3)
         target = SeriesFragment(dates=d, columns={"price": np.array([1.0, 2.0, 3.0])})
         exo = SeriesFragment(dates=[d[0], d[2]], columns={"x": np.array([5.0, 9.0])})
-        frame = align_series(target, [exo])
+        frame = align_series([target, exo], "price")
         assert frame.columns["x"] == pytest.approx([5.0, 5.0, 9.0])
 
     def test_leading_gap_drops_rows(self):
         d = days(4)
         target = SeriesFragment(dates=d, columns={"price": np.arange(4.0)})
         exo = SeriesFragment(dates=d[2:], columns={"x": np.array([7.0, 8.0])})
-        frame = align_series(target, [exo])
+        frame = align_series([target, exo], "price")
         assert frame.dates == d[2:]
         assert frame.columns["price"] == pytest.approx([2.0, 3.0])
 
@@ -169,13 +170,13 @@ class TestAlignSeries:
         target = SeriesFragment(dates=days(3), columns={"price": np.arange(3.0)})
         late = SeriesFragment(dates=days(2, start=date(2021, 1, 1)), columns={"x": np.ones(2)})
         with pytest.raises(CoverageError, match="'x'"):
-            align_series(target, [late])
+            align_series([target, late], "price")
 
     def test_internal_missing_filled(self):
         d = days(3)
         target = SeriesFragment(dates=d, columns={"price": np.arange(3.0) + 1})
         exo = SeriesFragment(dates=d, columns={"x": np.array([4.0, math.nan, 6.0])})
-        frame = align_series(target, [exo])
+        frame = align_series([target, exo], "price")
         assert frame.columns["x"] == pytest.approx([4.0, 4.0, 6.0])
 
     @given(st.data())
@@ -206,12 +207,13 @@ class TestAlignSeries:
                     seen = [v for fd, v in zip(frag.dates, col) if fd <= d and not math.isnan(v)]
                     filled.append(seen[-1] if seen else math.nan)
                 expected[name] = np.array(filled)
+        fragments = data.draw(st.permutations([target] + exo))
         if any(np.isnan(col[-1]) for col in expected.values()):
             with pytest.raises(CoverageError):
-                align_series(target, exo)
+                align_series(fragments, "price")
             return
         start = max(int(np.argmax(~np.isnan(col))) for col in expected.values())
-        frame = align_series(target, exo)
+        frame = align_series(fragments, "price")
         assert frame.dates == target_dates[start:]
         assert np.array_equal(frame.columns["price"], target.columns["price"][start:])
         for name, col in expected.items():
@@ -398,6 +400,12 @@ class TestEvaluate:
         assert m.mse == pytest.approx(m.mae**2)
 
 
+def selection_of(frame, names):
+    """A ridge-style report over the panel's features that selects `names`."""
+    rows = [SelectionRow(n, 0.0, None, None, n in names) for n in frame.feature_names]
+    return SelectionReport(rows=rows, penalty=PenaltySpec("ridge", 1.0), dataset_label="rr")
+
+
 def tiny_train_config(**kw):
     kw.setdefault("variant", "dilated_cnn_lstm")
     kw.setdefault("hidden_size", 6)
@@ -462,13 +470,13 @@ class TestTrainModel:
 
     def test_selection_restricts_features(self, small_panel):
         frame, _ = small_panel
-        result = train_model(frame, ["macro_01", "fin_02"], tiny_train_config(epochs=1))
+        result = train_model(frame, selection_of(frame, ["macro_01", "fin_02"]), tiny_train_config(epochs=1))
         assert result.feature_names == ["price", "macro_01", "fin_02"]
 
     def test_empty_selection_rejected(self, small_panel):
         frame, _ = small_panel
         with pytest.raises(ParameterError):
-            train_model(frame, [], tiny_train_config())
+            train_model(frame, selection_of(frame, []), tiny_train_config())
 
 
 class TestCompareVariants:
@@ -510,11 +518,11 @@ class TestCompareVariants:
 class TestSelectPanelFeatures:
     def test_unconverged_scad_fit_warns(self, small_panel, monkeypatch):
         frame, _ = small_panel
-        fit = pipeline.regsel.penalized_fit
+        fit = pipeline.regsel.scad_fit
 
-        def one_sweep(x, y, penalty, tol=1e-7, max_iter=1000, beta_init=None):
-            return fit(x, y, penalty, tol, 1, beta_init=beta_init)
+        def one_sweep(x, y, lam, a=3.7, tol=1e-7, max_iter=1000):
+            return fit(x, y, lam, a, tol, 1)
 
-        monkeypatch.setattr(pipeline.regsel, "penalized_fit", one_sweep)
+        monkeypatch.setattr(pipeline.regsel, "scad_fit", one_sweep)
         with pytest.warns(RuntimeWarning, match=r"lambda=0\.05 did not converge in 1 sweeps"):
             pipeline.select_panel_features(frame, scad_lambda=0.05)
