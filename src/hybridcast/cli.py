@@ -145,10 +145,13 @@ def _checkpoint_dict(result: pipeline.TrainResult, frame, train_fraction: float)
 
 
 def _check_training_span(ckpt: dict, frame, names: list[str], window: int, train_fraction: float) -> None:
-    """DataError unless the panel and train_fraction give the checkpoint's training span."""
-    missing = [k for k in ("train_fraction", "train_span_sha256") if k not in ckpt]
+    """DataError unless the panel and train_fraction give the checkpoint's target and training span."""
+    missing = [k for k in ("target_name", "train_fraction", "train_span_sha256") if k not in ckpt]
     if missing:
         raise DataError(f"checkpoint records no {' or '.join(missing)}; retrain it to evaluate it")
+    target = from_json(str, ckpt["target_name"], "checkpoint.target_name", DataError)
+    if target != frame.target_name:
+        raise DataError(f"the panel's target {frame.target_name!r} differs from the checkpoint's {target!r}")
     recorded = from_json(float, ckpt["train_fraction"], "checkpoint.train_fraction", DataError)
     if recorded != train_fraction:
         raise DataError(f"train_fraction {train_fraction} differs from the checkpoint's {recorded}")

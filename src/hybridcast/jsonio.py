@@ -1,15 +1,18 @@
-"""The JSON document format of every config and artifact.
+"""The document formats of every config and artifact: JSON and CSV text.
 
-Writes are atomic and canonical (sorted keys, two-space indent, a final
-newline), so a rerun with the same inputs reproduces each file byte for
-byte. Reads check every value against the type annotations of the
-dataclass it becomes, and a bad document fails with the error class the
-caller names (ConfigError for the config, DataError for artifacts) and
-the dotted path of the offending key.
+Writes are atomic and canonical (JSON with sorted keys, two-space indent
+and a final newline; CSV with "\n" line ends), so a rerun with the same
+inputs reproduces each file byte for byte. JSON reads check every value
+against the type annotations of the dataclass it becomes, and a bad
+document fails with the error class the caller names (ConfigError for
+the config, DataError for artifacts) and the dotted path of the
+offending key.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -35,6 +38,14 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _encode(obj):

@@ -8,12 +8,12 @@ Four wirings of the same pieces are supported (see ForecastModel):
   cnn_lstm         conv(d=1, shape-preserving) -> per-step flatten -> LSTM -> head
   dilated_cnn_lstm same, with dilation d >= 2 and padding p = d
 
-The LSTM variants compute the input side of the gates for all T steps as
-one GEMM before the recurrence. In cnn_lstm and dilated_cnn_lstm nothing
-nonlinear sits between the conv and the gates, so conv then input weights
-is one linear map of the padded window, applied through weights composed
-once per forward (ForecastModel._input_weights). An activation after the
-conv would break this. Parameters and checkpoints keep the unfolded blocks.
+The conv never runs as a layer. Nothing nonlinear sits between it and the
+weights that read its output (the LSTM input weights, or the cnn head as T
+rows of C*F weights, one per step), so the two are one linear map of the
+padded window, composed once per forward (ForecastModel._input_weights);
+an activation after the conv would break this. Conv2dLayer is the unfolded
+conv the tests check the fold against. Checkpoints keep the unfolded blocks.
 
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
@@ -403,9 +403,8 @@ class ForecastModel:
     """One of the four variant networks over a T x F window.
 
     Parameters live in a flat name -> array dict, which is what Adam
-    updates in place and what checkpoints serialize. The cnn variant's
-    Conv2dLayer references these arrays; the LSTM variants read them
-    afresh in every forward.
+    updates in place and what checkpoints serialize; every forward reads
+    them afresh.
     """
 
     def __init__(self, config: ModelConfig, n_features: int, params: dict | None = None):
@@ -427,8 +426,6 @@ class ForecastModel:
             if got != want:
                 raise ShapeError(f"parameter blocks {got} do not match expected {want}")
         self.params = params
-        # only cnn runs the conv as a layer; the LSTM variants fold it into the gate weights
-        self.conv = None if self._uses_lstm else Conv2dLayer(params["conv_kernel"], params["conv_bias"], padding=1)
 
     # parameter blocks, in a fixed order so seeded init is reproducible
     def _block_shapes(self) -> dict:
@@ -478,7 +475,7 @@ class ForecastModel:
         return w
 
     def _input_rows(self, x: np.ndarray) -> np.ndarray:
-        """What the LSTM input weights multiply at every step: (T*B, K), rows in (t, b) order.
+        """What the weights after the conv multiply at every step: (T*B, K), rows in (t, b) order.
 
         lstm: the window row x[b, t]. Conv variants: the three dilated rows
         xp[b, t + u*d] of the zero-padded window, u = 0, 1, 2, side by side.
@@ -494,66 +491,65 @@ class ForecastModel:
             rows[:, :, u] = xp[u * d : u * d + t_steps]
         return rows.reshape(t_steps * b, -1)
 
-    def _input_weights(self, lstm: LstmParams):
-        """(E, e0, cache): the input pre-activations are rows @ E.T + b + e0.
+    def _input_weights(self, w_x: np.ndarray):
+        """(E, e0, cache) with rows @ E.T + e0 equal to the (G, C*F) weights w_x applied to the conv output.
 
-        lstm: E is the input block W_x of the stacked gate matrix, e0 = 0.
-        Conv variants: the conv output feeds the gates with nothing
-        nonlinear between them, so conv then W_x is one linear map of the
-        padded window. E[g, u, f'] = sum_{c,v} W_x[g, c, f'-v*d] K[c, u, v]
-        (4*hidden, 3, F+2d) and e0 = W_x.sum(f) @ conv_bias.
+        lstm: no conv, so E = w_x and e0 = 0. Conv variants: E[g, u, f'] =
+        sum_{c,v} w_x[g, c, f'-v*d] K[c, u, v] (G, 3, F+2d) and e0 = w_x.sum(f) @ conv_bias.
         """
-        w_x = lstm.w[:, lstm.hidden_size :]
         if not self._uses_conv:
             return w_x, 0.0, None
         d, f = self.config.dilation, self.n_features
         kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)  # (C, 9)
-        # W_x with the channel first: w_t[c, g*F + f] = W_x[g, c*F + f]
+        # w_x with the channel first: w_t[c, g*F + f] = w_x[g, c*F + f]
         w_t = w_x.reshape(len(w_x), -1, f).transpose(1, 0, 2).reshape(len(kernel), -1)
         taps = (kernel.T @ w_t).reshape(KERNEL_SIZE, KERNEL_SIZE, len(w_x), f)
         e = np.zeros((len(w_x), KERNEL_SIZE, f + 2 * d))
         for v in range(KERNEL_SIZE):
             e[:, :, v * d : v * d + f] += taps[:, v].transpose(1, 0, 2)
-        w_sums = w_t.reshape(len(kernel), len(w_x), f).sum(axis=2)  # (C, 4*hidden)
+        w_sums = w_t.reshape(len(kernel), len(w_x), f).sum(axis=2)  # (C, G)
         return e.reshape(len(w_x), -1), self.params["conv_bias"] @ w_sums, (w_t, w_sums)
 
     def forward(self, windows: np.ndarray):
         """Predictions (B,) for a batch of standardized windows, plus cache."""
         x = self._check_windows(windows)
-        cache = {"shape": x.shape}
-        if self.conv is not None:
-            conv_out, cache["conv"] = self.conv.forward(x[:, None, :, :])
-            head_in = conv_out.reshape(x.shape[0], -1)
-        else:
+        b, t_steps, f = x.shape
+        rows = self._input_rows(x)
+        if self._uses_lstm:
             lstm = LstmParams(*(self.params[k] for k in LSTM_KEYS))
-            rows = self._input_rows(x)
-            e, e0, w_cache = self._input_weights(lstm)
-            a_x = rows @ e.T
-            a_x += lstm.b + e0
-            states, head_in = lstm_forward(lstm, a_x.reshape(x.shape[1], x.shape[0], -1))
-            cache.update(lstm=lstm, states=states, rows=rows, e=e, w_cache=w_cache)
-
+            w_x = lstm.w[:, lstm.hidden_size :]
+        else:  # dense_w over the (C, T, F) conv output, as one row of C*F weights per step
+            w_x = self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2).reshape(t_steps, -1)
+        e, e0, w_cache = self._input_weights(w_x)
+        cache = {"shape": x.shape, "rows": rows, "e": e, "w_cache": w_cache}
+        if not self._uses_lstm:  # step t's rows meet only row t of E
+            step_sums = np.einsum("tbk,tk->b", rows.reshape(t_steps, b, -1), e)
+            return step_sums + (e0.sum() + float(self.params["dense_b"])), cache
+        a_x = rows @ e.T
+        a_x += lstm.b + e0
+        states, head_in = lstm_forward(lstm, a_x.reshape(t_steps, b, -1))
+        cache.update(lstm=lstm, states=states)
         preds, cache["dense"] = dense_forward(self.params["dense_w"], float(self.params["dense_b"]), head_in)
         return preds, cache
 
     def backward(self, cache: dict, grad_preds: np.ndarray):
         """Parameter gradients (same keys as params) and window gradients."""
-        grads = {}
-        grad_head, grads["dense_w"], gb = dense_backward(
-            self.params["dense_w"], cache["dense"], grad_preds
-        )
-        grads["dense_b"] = np.asarray(gb, dtype=np.float64).reshape(())
-        if self.conv is not None:
-            grad_img, grads["conv_kernel"], grads["conv_bias"] = self.conv.backward(
-                cache["conv"], grad_head.reshape(cache["conv"]["out_shape"])
-            )
-            return grads, grad_img[:, 0, :, :]
-
         b, t_steps, f = cache["shape"]
-        hidden = self.config.hidden_size
-        grad_h_seq = np.zeros((b, t_steps, hidden))
-        grad_h_seq[:, -1, :] = grad_head
-        da, grad_w_h, grad_b = lstm_backward(cache["lstm"], cache["states"], grad_h_seq)
+        hidden, grads = self.config.hidden_size, {}
+        if self._uses_lstm:
+            grad_head, grads["dense_w"], gb = dense_backward(self.params["dense_w"], cache["dense"], grad_preds)
+            grad_h_seq = np.zeros((b, t_steps, hidden))
+            grad_h_seq[:, -1, :] = grad_head
+            da, grad_w_h, grad_b = lstm_backward(cache["lstm"], cache["states"], grad_h_seq)
+        else:
+            grad_preds = np.asarray(grad_preds, dtype=np.float64)
+            if grad_preds.shape != (b,):
+                raise ShapeError(f"grad_preds must be ({b},), got {grad_preds.shape}")
+            gb = grad_preds.sum()
+            # d pred[b] / d (rows[t, b] . E[t']) is 1 where t' == t, else 0
+            da = (np.eye(t_steps)[:, None, :] * grad_preds[:, None]).reshape(t_steps * b, t_steps)
+            grad_b = da.sum(axis=0)
+        grads["dense_b"] = np.asarray(gb, dtype=np.float64).reshape(())
         grad_e = da.T @ cache["rows"]
         grad_rows = da @ cache["e"]
         if self._uses_conv:
@@ -563,6 +559,9 @@ class ForecastModel:
         else:
             grad_w_x = grad_e
             grad_x = grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
+        if not self._uses_lstm:
+            grads["dense_w"] = grad_w_x.reshape(t_steps, -1, f).transpose(1, 0, 2).reshape(-1)
+            return grads, grad_x
         grad_w = np.concatenate([grad_w_h, grad_w_x], axis=1)
         for k, gate in enumerate("figo"):
             gate_rows = slice(k * hidden, (k + 1) * hidden)
@@ -571,7 +570,7 @@ class ForecastModel:
         return grads, grad_x
 
     def _conv_backward(self, w_cache, grad_e, grad_b, grad_rows, shape):
-        """Map the gradients of E, e0 and the rows back to (W_x, kernel, conv_bias, window)."""
+        """Map the gradients of E, e0 and the rows back to (w_x, kernel, conv_bias, window)."""
         (w_t, w_sums), (b, t_steps, f) = w_cache, shape
         d, n_gates = self.config.dilation, len(grad_b)
         kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import os
 import warnings
@@ -33,7 +32,7 @@ from .errors import (
     ScalingError,
     ShapeError,
 )
-from .jsonio import atomic_write_text
+from .jsonio import atomic_write_text, csv_text
 from .neural import ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
 from .regsel import SelectionReport
 
@@ -121,14 +120,6 @@ class TimeSeriesFrame:
             columns={n: self.columns[n].copy() for n in names},
             target_name=self.target_name,
         )
-
-
-def csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def frame_to_csv_text(frame: TimeSeriesFrame, date_column: str = "date") -> str:
@@ -269,6 +260,11 @@ class StandardScaler:
     names: list[str]
     mean: np.ndarray
     sd: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.mean) == len(self.sd) == len(self.names):
+            raise ParameterError(f"mean and sd need one entry per name: {len(self.names)} names, "
+                                 f"{len(self.mean)} means, {len(self.sd)} sds")
 
     def _index(self, name: str) -> int:
         try:

@@ -13,8 +13,6 @@ zeroes everything" scaling.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +23,7 @@ from scipy.special import stdtr
 
 from . import numcore
 from .errors import DataError, ParameterError, ShapeError, SingularityError
-from .jsonio import from_json
+from .jsonio import csv_text, from_json
 
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
 
@@ -507,20 +505,12 @@ class SelectionReport:
         }
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "coef", "t", "p", "selected"])
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.name,
-                    repr(r.coef),
-                    "" if r.t is None else repr(r.t),
-                    "" if r.p is None else repr(r.p),
-                    str(r.selected).lower(),
-                ]
-            )
-        return buf.getvalue()
+        rows = (
+            [r.name, repr(r.coef), "" if r.t is None else repr(r.t), "" if r.p is None else repr(r.p),
+             str(r.selected).lower()]
+            for r in self.rows
+        )
+        return csv_text(["name", "coef", "t", "p", "selected"], rows)
 
     @classmethod
     def from_json_dict(cls, d: dict, where: str = "selection") -> "SelectionReport":

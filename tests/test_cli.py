@@ -8,6 +8,7 @@ import pytest
 
 import hybridcast
 from hybridcast import cli
+from hybridcast.neural import ForecastModel, ModelConfig, model_to_dict
 
 TINY_CONFIG = {
     "data": {"source": "synthetic", "synthetic": {"n_days": 80, "seed": 5}},
@@ -162,19 +163,29 @@ class TestTrainEvaluateCommands:
             assert eval_metrics[key] == train_metrics[key]
 
     @pytest.mark.parametrize(
-        "edit,named",
+        "source,edit,named",
         [
-            (lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
-            (lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
-            (lambda cfg: cfg["data"]["synthetic"].update(macro=12, financial_energy=26), "macro_13"),
+            ("synthetic", lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
+            ("synthetic", lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
+            ("synthetic", lambda cfg: cfg["data"]["synthetic"].update(macro=12, financial_energy=26), "macro_13"),
+            (
+                "csv",
+                lambda cfg: cfg["data"].update(target_column="macro_01"),
+                "target 'macro_01' differs from the checkpoint's 'price'",
+            ),
         ],
-        ids=["train_fraction", "panel", "panel-lacks-column"],
+        ids=["train_fraction", "panel", "panel-lacks-column", "csv-other-target"],
     )
-    def test_evaluate_on_another_split_is_data_error(self, tiny_config, tmp_path, capsys, edit, named):
-        """A checkpoint scored against another train_fraction or panel, or one lacking its columns, fails loudly."""
+    def test_evaluate_on_another_split_is_data_error(self, tiny_config, tmp_path, capsys, source, edit, named):
+        """A checkpoint scored against another train_fraction, panel or target, or lacking columns, fails loudly."""
         out = str(tmp_path / "o")
-        assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
         cfg = json.loads(json.dumps(TINY_CONFIG))
+        if source == "csv":  # the same columns, so only the target tells the two panels apart
+            assert run("synth", "--config", tiny_config, "--out", out) == 0
+            cfg["data"] = {"source": "csv", "csv_paths": [os.path.join(out, "panel.csv")], "target_column": "price"}
+        trained = tmp_path / "trained.json"
+        trained.write_text(json.dumps(cfg))
+        assert run("train", "--config", str(trained), "--out", out, "--all-features") == 0
         edit(cfg)
         other = tmp_path / "other.json"
         other.write_text(json.dumps(cfg))
@@ -326,6 +337,11 @@ class TestUsageErrors:
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 1
 
 
+SCALER_SHORT_MEAN_CHECKPOINT = model_to_dict(ForecastModel(ModelConfig(variant="lstm", hidden_size=1), 1)) | {
+    "feature_names": ["macro_01", "price"],
+    "scaler": {"names": ["macro_01", "price"], "mean": [0.0], "sd": [1.0, 1.0]},
+}
+
 BAD_ROW_SELECTION = {
     "dataset_label": "rr",
     "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
@@ -364,13 +380,14 @@ FOREIGN_COLUMN_SELECTION = {
          "checkpoint.params"),
         ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 0, "params": {}}, 2,
          "checkpoint.n_features"),
+        ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
-        "checkpoint-no-features",
+        "checkpoint-no-features", "checkpoint-scaler-short-mean",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

@@ -384,13 +384,23 @@ def per_gate_lstm_backward(params, states, grad_h_seq, x_seq):
 
 
 def unfolded_model(model, windows, grad_preds):
-    """Predictions, parameter gradients and window gradient of a model with an LSTM, unfolded.
+    """Predictions, parameter gradients and window gradient of a model, unfolded.
 
-    The conv variants run Conv2dLayer, flatten each step's C x F outputs
-    channel-major and feed [h, x_t] through the stacked gate GEMM; lstm
-    feeds the window rows. Backward retraces the same steps.
+    cnn runs Conv2dLayer, flattens its (C, T, F) output and applies the
+    dense head. The LSTM conv variants run Conv2dLayer, flatten each
+    step's C x F outputs channel-major and feed [h, x_t] through the
+    stacked gate GEMM; lstm feeds the window rows. Backward retraces the
+    same steps.
     """
     p, cfg = model.params, model.config
+    if cfg.variant == "cnn":
+        conv = Conv2dLayer(p["conv_kernel"], p["conv_bias"], dilation=1, padding=1)
+        conv_out, conv_cache = conv.forward(windows[:, None, :, :])
+        flat = conv_out.reshape(len(windows), -1)
+        grads = {"dense_w": flat.T @ grad_preds, "dense_b": grad_preds.sum()}
+        grad_out = np.outer(grad_preds, p["dense_w"]).reshape(conv_out.shape)
+        grad_img, grads["conv_kernel"], grads["conv_bias"] = conv.backward(conv_cache, grad_out)
+        return flat @ p["dense_w"] + p["dense_b"], grads, grad_img[:, 0, :, :]
     hidden = cfg.hidden_size
     w = np.concatenate([p[f"W_{gate}"] for gate in "figo"])
     b = np.concatenate([p[f"b_{gate}"] for gate in "figo"])
@@ -439,14 +449,15 @@ def unfolded_model(model, windows, grad_preds):
 
 
 class TestFoldedInput:
-    """The model's composed input weights against the unfolded conv -> LSTM.
+    """The model's composed input weights against the unfolded conv -> LSTM or head.
 
     The fold is exact only while nothing nonlinear sits between the conv
-    and the LSTM gates; these tests are the guard.
+    and the weights after it (LSTM gates or cnn head); these tests are the guard.
     """
 
     @pytest.mark.parametrize(
-        "variant,dilation", [("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)]
+        "variant,dilation",
+        [("cnn", 1), ("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)],
     )
     def test_matches_unfolded_model(self, variant, dilation, rng):
         cfg = ModelConfig(variant=variant, dilation=dilation, window=5, hidden_size=32, out_channels=16, seed=7)
