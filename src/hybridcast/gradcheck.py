@@ -84,7 +84,7 @@ def model_block_errors(
 
     preds, cache = model.forward(windows)
     _, grad_pred = mse_loss(preds, targets)
-    grads, grad_windows = model.backward(cache, grad_pred)
+    grads, grad_windows = model.backward(cache, grad_pred, window_grad=True)
 
     def loss() -> float:
         return mse_loss(model.predict(windows), targets)[0]

@@ -15,6 +15,13 @@ padded window, composed once per forward (ForecastModel._input_weights);
 an activation after the conv would break this. Conv2dLayer is the unfolded
 conv the tests check the fold against. Checkpoints keep the unfolded blocks.
 
+The LSTM weights live in one (4H, H+I) gate stack and one (4H,) bias
+stack (LstmParams); the W_f ... b_o parameter blocks are row-block views
+of them, so Adam, checkpoints and finite-difference probes all read and
+write the memory the forward pass reads. The sigmoid is computed with
+numpy's tanh, so this module imports numpy alone. backward computes the
+window gradient only when asked: training does not need it.
+
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
 gradcheck).
@@ -25,7 +32,6 @@ import base64
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import DataError, ParameterError, ShapeError
 from .jsonio import from_json
@@ -47,6 +53,15 @@ def receptive_field(kernel_size: int, dilation: int) -> int:
 
 # ---------------------------------------------------------------------------
 # layers
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as 0.5 + 0.5*tanh(x/2): within 2.3e-16 of 1/(1 + e^-x), and no overflow at any x."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def _tap_offsets(dilation: int, h_out: int, w_out: int):
@@ -145,40 +160,44 @@ class Conv2dLayer:
 
 @dataclass
 class LstmParams:
-    """Gate weights over the concatenated [h_prev, x_t] plus biases.
+    """The four gates' weights over the concatenated [h_prev, x_t], and their biases.
 
-    w and b stack the four gates in f, i, g, o order as (4*hidden,
-    hidden+input) and (4*hidden,). They are copies taken at construction,
-    so build a new LstmParams after changing a gate array.
+    w (4*hidden, hidden+input) and b (4*hidden,) stack the gates in f, i,
+    g, o order; w_f ... b_o are row-block views of them, so a change made
+    in place to either is a change to both. from_gates copies separate
+    gate arrays into a new stack.
     """
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_g: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
-    w: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray
+    b: np.ndarray
+    w_f: np.ndarray = field(init=False, repr=False)
+    w_i: np.ndarray = field(init=False, repr=False)
+    w_g: np.ndarray = field(init=False, repr=False)
+    w_o: np.ndarray = field(init=False, repr=False)
+    b_f: np.ndarray = field(init=False, repr=False)
+    b_i: np.ndarray = field(init=False, repr=False)
+    b_g: np.ndarray = field(init=False, repr=False)
+    b_o: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        hidden = self.w_f.shape[0]
-        for name in ("w_f", "w_i", "w_g", "w_o"):
-            w = getattr(self, name)
-            if w.ndim != 2 or w.shape != self.w_f.shape:
-                raise ShapeError(f"{name} must be (hidden, hidden+input), got {w.shape}")
-        for name in ("b_f", "b_i", "b_g", "b_o"):
-            b = getattr(self, name)
-            if b.shape != (hidden,):
-                raise ShapeError(f"{name} must be ({hidden},), got {b.shape}")
-        self.w = np.concatenate([self.w_f, self.w_i, self.w_g, self.w_o])
-        self.b = np.concatenate([self.b_f, self.b_i, self.b_g, self.b_o])
+        if self.w.ndim != 2 or len(self.w) % 4 or self.b.shape != (len(self.w),):
+            raise ShapeError(
+                f"w must be (4*hidden, hidden+input) and b (4*hidden,), got {self.w.shape} and {self.b.shape}"
+            )
+        hidden = self.hidden_size
+        for k, gate in enumerate("figo"):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            setattr(self, f"w_{gate}", self.w[rows])
+            setattr(self, f"b_{gate}", self.b[rows])
+
+    @classmethod
+    def from_gates(cls, w_f, w_i, w_g, w_o, b_f, b_i, b_g, b_o) -> "LstmParams":
+        """A new stack holding copies of the eight gate arrays."""
+        return cls(np.concatenate([w_f, w_i, w_g, w_o]), np.concatenate([b_f, b_i, b_g, b_o]))
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return len(self.b) // 4
 
 
 @dataclass
@@ -215,7 +234,9 @@ def lstm_step(params: LstmParams, a_t: np.ndarray, prev: LstmState) -> LstmState
         raise ShapeError(f"batch mismatch: h has {prev.h.shape[0]} rows, a_t {a_t.shape[0]}")
 
     a = a_t + prev.h @ params.w[:, :hidden].T
-    f, i, o = (sigmoid(a[:, k * hidden : (k + 1) * hidden]) for k in (0, 1, 3))
+    f_i = sigmoid(a[:, : 2 * hidden])  # f and i are side by side
+    f, i = f_i[:, :hidden], f_i[:, hidden:]
+    o = sigmoid(a[:, 3 * hidden :])
     z = np.tanh(a[:, 2 * hidden : 3 * hidden])
     c = f * prev.c + i * z
     tanh_c = np.tanh(c)
@@ -262,12 +283,12 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
         c_prev = states[t - 1].c if t > 0 else np.zeros((batch, hidden))
         dh = grad_h_seq[:, t, :] + dh_next
         dc = dc_next + dh * st.o * (1.0 - st.tanh_c**2)
-        da_f, da_i, da_g, da_o = np.split(da[t], 4, axis=1)
-        da_f[:] = dc * c_prev * st.f * (1.0 - st.f)
-        da_i[:] = dc * st.z * st.i * (1.0 - st.i)
-        da_g[:] = dc * st.i * (1.0 - st.z**2)
-        da_o[:] = dh * st.tanh_c * st.o * (1.0 - st.o)
-        dh_next = da[t] @ w_h
+        da_t = da[t]
+        da_t[:, :hidden] = dc * c_prev * st.f * (1.0 - st.f)
+        da_t[:, hidden : 2 * hidden] = dc * st.z * st.i * (1.0 - st.i)
+        da_t[:, 2 * hidden : 3 * hidden] = dc * st.i * (1.0 - st.z**2)
+        da_t[:, 3 * hidden :] = dh * st.tanh_c * st.o * (1.0 - st.o)
+        dh_next = da_t @ w_h
         dc_next = dc * st.f
 
     da = da.reshape(t_steps * batch, 4 * hidden)
@@ -404,7 +425,9 @@ class ForecastModel:
 
     Parameters live in a flat name -> array dict, which is what Adam
     updates in place and what checkpoints serialize; every forward reads
-    them afresh.
+    them afresh. The gate blocks W_f ... b_o are row-block views of one
+    LstmParams stack (self.lstm), which the LSTM reads, so change them in
+    place: an array put in their place would go unread.
     """
 
     def __init__(self, config: ModelConfig, n_features: int, params: dict | None = None):
@@ -425,7 +448,10 @@ class ForecastModel:
             want = {k: tuple(s) for k, s in expected.items()}
             if got != want:
                 raise ShapeError(f"parameter blocks {got} do not match expected {want}")
-        self.params = params
+        self.params = dict(params)
+        if self._uses_lstm:
+            self.lstm = LstmParams.from_gates(*(self.params[k] for k in LSTM_KEYS))
+            self.params.update((k, getattr(self.lstm, k.lower())) for k in LSTM_KEYS)
 
     # parameter blocks, in a fixed order so seeded init is reproducible
     def _block_shapes(self) -> dict:
@@ -516,8 +542,7 @@ class ForecastModel:
         b, t_steps, f = x.shape
         rows = self._input_rows(x)
         if self._uses_lstm:
-            lstm = LstmParams(*(self.params[k] for k in LSTM_KEYS))
-            w_x = lstm.w[:, lstm.hidden_size :]
+            w_x = self.lstm.w[:, self.config.hidden_size :]
         else:  # dense_w over the (C, T, F) conv output, as one row of C*F weights per step
             w_x = self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2).reshape(t_steps, -1)
         e, e0, w_cache = self._input_weights(w_x)
@@ -526,21 +551,31 @@ class ForecastModel:
             step_sums = np.einsum("tbk,tk->b", rows.reshape(t_steps, b, -1), e)
             return step_sums + (e0.sum() + float(self.params["dense_b"])), cache
         a_x = rows @ e.T
-        a_x += lstm.b + e0
-        states, head_in = lstm_forward(lstm, a_x.reshape(t_steps, b, -1))
-        cache.update(lstm=lstm, states=states)
+        a_x += self.lstm.b + e0
+        states, head_in = lstm_forward(self.lstm, a_x.reshape(t_steps, b, -1))
+        cache["states"] = states
         preds, cache["dense"] = dense_forward(self.params["dense_w"], float(self.params["dense_b"]), head_in)
         return preds, cache
 
-    def backward(self, cache: dict, grad_preds: np.ndarray):
-        """Parameter gradients (same keys as params) and window gradients."""
+    def backward(self, cache: dict, grad_preds: np.ndarray, window_grad: bool = False):
+        """Parameter gradients (same keys as params), and the window gradient if window_grad, else None.
+
+        Training reads only the parameter gradients; the window gradient
+        costs one more GEMM and a scatter.
+        """
         b, t_steps, f = cache["shape"]
         hidden, grads = self.config.hidden_size, {}
         if self._uses_lstm:
             grad_head, grads["dense_w"], gb = dense_backward(self.params["dense_w"], cache["dense"], grad_preds)
             grad_h_seq = np.zeros((b, t_steps, hidden))
             grad_h_seq[:, -1, :] = grad_head
-            da, grad_w_h, grad_b = lstm_backward(cache["lstm"], cache["states"], grad_h_seq)
+            da, grad_w_h, grad_b = lstm_backward(self.lstm, cache["states"], grad_h_seq)
+            grad_w = np.empty_like(self.lstm.w)  # its row blocks are the W_f ... W_o gradients
+            grad_w[:, :hidden] = grad_w_h
+            for k, gate in enumerate("figo"):
+                gate_rows = slice(k * hidden, (k + 1) * hidden)
+                grads[f"W_{gate}"] = grad_w[gate_rows]
+                grads[f"b_{gate}"] = grad_b[gate_rows]
         else:
             grad_preds = np.asarray(grad_preds, dtype=np.float64)
             if grad_preds.shape != (b,):
@@ -551,26 +586,27 @@ class ForecastModel:
             grad_b = da.sum(axis=0)
         grads["dense_b"] = np.asarray(gb, dtype=np.float64).reshape(())
         grad_e = da.T @ cache["rows"]
-        grad_rows = da @ cache["e"]
-        if self._uses_conv:
-            grad_w_x, grads["conv_kernel"], grads["conv_bias"], grad_x = self._conv_backward(
-                cache["w_cache"], grad_e, grad_b, grad_rows, cache["shape"]
-            )
-        else:
-            grad_w_x = grad_e
-            grad_x = grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
-        if not self._uses_lstm:
-            grads["dense_w"] = grad_w_x.reshape(t_steps, -1, f).transpose(1, 0, 2).reshape(-1)
+        grad_rows = da @ cache["e"] if window_grad else None
+        if not self._uses_conv:  # lstm: E is w_x itself
+            grad_w[:, hidden:] = grad_e
+            grad_x = None if grad_rows is None else grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
             return grads, grad_x
-        grad_w = np.concatenate([grad_w_h, grad_w_x], axis=1)
-        for k, gate in enumerate("figo"):
-            gate_rows = slice(k * hidden, (k + 1) * hidden)
-            grads[f"W_{gate}"] = grad_w[gate_rows]
-            grads[f"b_{gate}"] = grad_b[gate_rows]
+        if self._uses_lstm:  # the w_x gradient channel first, (C, gates, F), as _conv_backward writes it
+            grad_w_t = grad_w[:, hidden:].reshape(len(grad_b), -1, f).transpose(1, 0, 2)
+        else:  # dense_w is the cnn's w_x channel first already
+            grads["dense_w"] = np.empty_like(self.params["dense_w"])
+            grad_w_t = grads["dense_w"].reshape(-1, t_steps, f)
+        grads["conv_kernel"], grads["conv_bias"], grad_x = self._conv_backward(
+            cache["w_cache"], grad_e, grad_b, grad_rows, cache["shape"], grad_w_t
+        )
         return grads, grad_x
 
-    def _conv_backward(self, w_cache, grad_e, grad_b, grad_rows, shape):
-        """Map the gradients of E, e0 and the rows back to (w_x, kernel, conv_bias, window)."""
+    def _conv_backward(self, w_cache, grad_e, grad_b, grad_rows, shape, grad_w_t):
+        """Map the gradients of E, e0 and the rows back to (kernel, conv_bias, window) and w_x.
+
+        The w_x gradient goes into grad_w_t (C, gates, F), channel first;
+        the window gradient is None when grad_rows is.
+        """
         (w_t, w_sums), (b, t_steps, f) = w_cache, shape
         d, n_gates = self.config.dilation, len(grad_b)
         kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)
@@ -580,15 +616,16 @@ class ForecastModel:
             grad_taps[:, v] = grad_e[:, :, v * d : v * d + f].transpose(1, 0, 2)
         grad_taps = grad_taps.reshape(KERNEL_SIZE * KERNEL_SIZE, -1)
         grad_kernel = (w_t @ grad_taps.T).reshape(self.params["conv_kernel"].shape)
-        grad_w_t = (kernel @ grad_taps).reshape(len(kernel), n_gates, f)
+        grad_w_t[...] = (kernel @ grad_taps).reshape(len(kernel), n_gates, f)
         grad_w_t += self.params["conv_bias"][:, None, None] * grad_b[None, :, None]  # through e0
-        grad_w_x = grad_w_t.transpose(1, 0, 2).reshape(n_gates, -1)
+        if grad_rows is None:
+            return grad_kernel, w_sums @ grad_b, None
         grad_rows = grad_rows.reshape(t_steps, b, KERNEL_SIZE, f + 2 * d)
         grad_xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
         for u in range(KERNEL_SIZE):
             grad_xp[u * d : u * d + t_steps] += grad_rows[:, :, u]
         grad_x = grad_xp[d : d + t_steps, :, d : d + f].transpose(1, 0, 2)
-        return grad_w_x, grad_kernel, w_sums @ grad_b, grad_x
+        return grad_kernel, w_sums @ grad_b, grad_x
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         preds, _ = self.forward(windows)
@@ -626,9 +663,12 @@ def decode_array(enc: EncodedArray, where: str) -> np.ndarray:
         raise DataError(f"{where}.dtype: expected '<f8', got {enc.dtype!r}")
     try:
         raw = base64.b64decode(enc.data, validate=True)
-        return np.frombuffer(raw, dtype="<f8").reshape(enc.shape).copy()
+        arr = np.frombuffer(raw, dtype="<f8").reshape(enc.shape).copy()
     except ValueError as exc:  # bad base64, or bytes that do not fill the shape
         raise DataError(f"{where}.data: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{where}.data: {int(np.sum(~np.isfinite(arr)))} of {arr.size} values are not finite")
+    return arr
 
 
 def model_to_dict(model: ForecastModel) -> dict:

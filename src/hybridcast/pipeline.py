@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     MapeUndefinedError,
     MissingInputError,
+    NumericalError,
     ParameterError,
     ScalingError,
     ShapeError,
@@ -265,6 +266,11 @@ class StandardScaler:
         if not len(self.mean) == len(self.sd) == len(self.names):
             raise ParameterError(f"mean and sd need one entry per name: {len(self.names)} names, "
                                  f"{len(self.mean)} means, {len(self.sd)} sds")
+        bad = ~(np.isfinite(self.mean) & np.isfinite(self.sd) & (self.sd > 0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ParameterError(f"column {self.names[j]!r} has mean {self.mean[j]} and sd {self.sd[j]}; "
+                                 "a mean must be finite and an sd finite and > 0")
 
     def _index(self, name: str) -> int:
         try:
@@ -449,8 +455,9 @@ class Metrics:
 def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
     """MSE, MAE, and MAPE (as a fraction, mean |err|/|actual|) on matching vectors.
 
-    A zero actual makes MAPE undefined; the raised error still carries
-    the MSE/MAE that remain well defined.
+    A non-finite prediction raises NumericalError, so no NaN metric is
+    ever written. A zero actual makes MAPE undefined; the raised error
+    still carries the MSE/MAE that remain well defined.
     """
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -458,6 +465,9 @@ def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
         raise ShapeError(f"pred {pred.shape} and actual {actual.shape} must be equal-length vectors")
     if pred.size == 0:
         raise ParameterError("evaluate needs at least one point")
+    bad = int(np.sum(~np.isfinite(pred)))
+    if bad:
+        raise NumericalError(f"{bad} of {pred.size} predictions are not finite")
     err = actual - pred
     mse = float(np.mean(err**2))
     mae = float(np.mean(np.abs(err)))

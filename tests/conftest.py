@@ -29,8 +29,8 @@ def offset_gradient(monkeypatch):
     def offset(block: str) -> None:
         backward = ForecastModel.backward
 
-        def offset_backward(self, cache, grad_preds):
-            grads, grad_windows = backward(self, cache, grad_preds)
+        def offset_backward(self, cache, grad_preds, window_grad=False):
+            grads, grad_windows = backward(self, cache, grad_preds, window_grad)
             if self.config.variant == "dilated_cnn_lstm":
                 grads[block] = grads[block] + 0.5
             return grads, grad_windows

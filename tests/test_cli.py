@@ -8,7 +8,7 @@ import pytest
 
 import hybridcast
 from hybridcast import cli
-from hybridcast.neural import ForecastModel, ModelConfig, model_to_dict
+from hybridcast.neural import ForecastModel, ModelConfig, encode_array, model_to_dict
 
 TINY_CONFIG = {
     "data": {"source": "synthetic", "synthetic": {"n_days": 80, "seed": 5}},
@@ -206,6 +206,23 @@ class TestTrainEvaluateCommands:
         assert run("evaluate", "--config", tiny_config, "--out", out) == 2
         assert "train_span_sha256" in capsys.readouterr().err
 
+    def test_evaluate_non_finite_predictions_is_numerical_error(self, tiny_config, tmp_path, capsys):
+        """A checkpoint whose forecasts overflow exits 3 and writes no metrics or predictions."""
+        out = str(tmp_path / "o")
+        assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
+        path = os.path.join(out, "checkpoint.json")
+        ckpt = json.load(open(path))
+        ckpt["params"]["dense_b"] = encode_array(np.array(1e308))
+        ckpt["scaler"]["sd"] = [1e10] * len(ckpt["scaler"]["sd"])
+        with open(path, "w") as fh:
+            json.dump(ckpt, fh)
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run("evaluate", "--config", tiny_config, "--out", out) == 3
+        assert "predictions are not finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
+        assert not os.path.exists(os.path.join(out, "eval_predictions.csv"))
+
     def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")
         run("select", "--config", tiny_config, "--out", out)
@@ -342,6 +359,18 @@ SCALER_SHORT_MEAN_CHECKPOINT = model_to_dict(ForecastModel(ModelConfig(variant="
     "scaler": {"names": ["macro_01", "price"], "mean": [0.0], "sd": [1.0, 1.0]},
 }
 
+NAN_SCALER_MEAN_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
+    "scaler": {"names": ["macro_01", "price"], "mean": [0.0, float("nan")], "sd": [1.0, 1.0]},
+}
+
+ZERO_SCALER_SD_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
+    "scaler": {"names": ["macro_01", "price"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
+}
+
+NAN_PARAM_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
+    "params": SCALER_SHORT_MEAN_CHECKPOINT["params"] | {"dense_b": encode_array(np.array(np.nan))},
+}
+
 BAD_ROW_SELECTION = {
     "dataset_label": "rr",
     "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
@@ -381,13 +410,17 @@ FOREIGN_COLUMN_SELECTION = {
         ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 0, "params": {}}, 2,
          "checkpoint.n_features"),
         ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
+        ("checkpoint.json", NAN_SCALER_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
+        ("checkpoint.json", ZERO_SCALER_SD_CHECKPOINT, 2, "checkpoint.scaler"),
+        ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
-        "checkpoint-no-features", "checkpoint-scaler-short-mean",
+        "checkpoint-no-features", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
+        "checkpoint-scaler-zero-sd", "checkpoint-nan-param",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

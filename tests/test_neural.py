@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +202,7 @@ class TestConv2d:
 
 
 def zero_lstm(hidden, inp):
-    return LstmParams(
+    return LstmParams.from_gates(
         *[np.zeros((hidden, hidden + inp)) for _ in range(4)],
         *[np.zeros(hidden) for _ in range(4)],
     )
@@ -233,6 +235,23 @@ def lstm_grads(params, x, grad_h):
         grads[f"W_{gate}"] = grad_w[k * hidden : (k + 1) * hidden]
         grads[f"b_{gate}"] = grad_b[k * hidden : (k + 1) * hidden]
     return states, grads, grad_x
+
+
+def test_sigmoid_matches_expit():
+    """The numpy sigmoid is within 2.3e-16 of scipy's expit, from the origin to where expit underflows."""
+    from scipy.special import expit  # the oracle only
+
+    x = np.concatenate([[0.0, 1e-3, -1e-3, 40.0, -40.0, 745.0, -745.0], np.linspace(-50.0, 50.0, 200001)])
+    with np.errstate(all="raise"):
+        got = neural.sigmoid(x)
+    assert np.max(np.abs(got - expit(x))) <= 2.3e-16
+
+
+def test_neural_imports_no_scipy():
+    tree = ast.parse(Path(neural.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 class TestLstm:
@@ -275,7 +294,7 @@ class TestLstm:
     @settings(max_examples=25, deadline=None)
     def test_gate_ranges(self, seed):
         rng = Rng(seed)
-        params = LstmParams(
+        params = LstmParams.from_gates(
             *[rng.normal(3 * 5, 0, 1).reshape(3, 5) for _ in range(4)],
             *[rng.normal(3, 0, 1) for _ in range(4)],
         )
@@ -297,7 +316,7 @@ class TestLstm:
         assert np.all((state.z >= -1) & (state.z <= 1))
 
     def test_backward_zero_grad(self, rng):
-        params = LstmParams(
+        params = LstmParams.from_gates(
             *[rng.standard_normal((3, 5)) * 0.3 for _ in range(4)],
             *[rng.standard_normal(3) * 0.3 for _ in range(4)],
         )
@@ -309,7 +328,7 @@ class TestLstm:
     def test_single_step_matches_analytic(self, rng):
         """T=1 BPTT equals the directly differentiated single cell."""
         hidden, inp = 3, 2
-        params = LstmParams(
+        params = LstmParams.from_gates(
             *[rng.standard_normal((hidden, hidden + inp)) * 0.5 for _ in range(4)],
             *[rng.standard_normal(hidden) * 0.5 for _ in range(4)],
         )
@@ -336,7 +355,7 @@ class TestLstm:
     @pytest.mark.parametrize("batch,t_steps,hidden,inp", [(64, 5, 32, 560), (64, 5, 32, 96), (3, 1, 32, 7)])
     def test_backward_matches_per_gate_loop(self, batch, t_steps, hidden, inp, rng):
         """The stacked-gate BPTT equals the per-step, per-gate loop to 1e-12 of the largest entry."""
-        params = LstmParams(
+        params = LstmParams.from_gates(
             *[rng.standard_normal((hidden, hidden + inp)) * 0.1 for _ in range(4)],
             *[rng.standard_normal(hidden) * 0.1 for _ in range(4)],
         )
@@ -465,7 +484,7 @@ class TestFoldedInput:
         windows = rng.standard_normal((64, 5, 35))
         grad_preds = rng.standard_normal(64)
         preds, cache = model.forward(windows)
-        grads, grad_x = model.backward(cache, grad_preds)
+        grads, grad_x = model.backward(cache, grad_preds, window_grad=True)
         ref_preds, ref_grads, ref_grad_x = unfolded_model(model, windows, grad_preds)
         assert set(grads) == set(ref_grads) == set(model.params)
         pairs = [(preds, ref_preds), (grad_x, ref_grad_x)] + [(grads[k], ref_grads[k]) for k in model.params]
@@ -621,8 +640,37 @@ class TestForecastModel:
         assert np.allclose(hyb.predict(windows), lstm_model.predict(windows), atol=1e-9)
 
     @pytest.mark.parametrize("variant", neural.VARIANTS)
+    def test_window_gradient_is_optional(self, variant, rng):
+        """Without the window gradient, backward returns None for it and the same parameter gradients, byte for byte."""
+        model = ForecastModel(tiny_config(variant), n_features=4)
+        _, cache = model.forward(rng.standard_normal((6, 5, 4)))
+        grad_preds = rng.standard_normal(6)
+        with_x, grad_x = model.backward(cache, grad_preds, window_grad=True)
+        without_x, none = model.backward(cache, grad_preds)
+        assert grad_x.shape == (6, 5, 4) and none is None
+        assert list(without_x) == list(with_x)
+        for name, g in with_x.items():
+            assert np.asarray(without_x[name]).tobytes() == np.asarray(g).tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["lstm", "cnn_lstm", "dilated_cnn_lstm"])
+    def test_gate_blocks_are_read_in_place(self, variant, rng):
+        """An in-place edit of params["W_g"] changes the next predict, to what a model built with it predicts."""
+        model = ForecastModel(tiny_config(variant), n_features=4)
+        x = rng.standard_normal((6, 5, 4))
+        before = model.predict(x)
+        model.params["W_g"][0] += 0.25
+        after = model.predict(x)
+        assert not np.array_equal(after, before)
+        rebuilt = ForecastModel(tiny_config(variant), 4, params={k: p.copy() for k, p in model.params.items()})
+        assert np.array_equal(rebuilt.predict(x), after)
+
+    @pytest.mark.parametrize("variant", neural.VARIANTS)
     def test_checkpoint_roundtrip_bit_exact(self, variant, tmp_path):
+        """A checkpoint of a model after an Adam step predicts what the model does, bit for bit."""
         model = ForecastModel(tiny_config(variant), n_features=3)
+        preds, cache = model.forward(Rng(6).normal(4 * 5 * 3).reshape(4, 5, 3))
+        grads, _ = model.backward(cache, mse_loss(preds, np.ones(4))[1])
+        adam_step(adam_init(model.params), model.params, grads, lr=0.01)
         blob = json.dumps(neural.model_to_dict(model))
         again = neural.model_from_dict(json.loads(blob))
         assert again.config == model.config

@@ -14,6 +14,7 @@ from hybridcast.errors import (
     InsufficientDataError,
     MapeUndefinedError,
     MissingInputError,
+    NumericalError,
     ParameterError,
     ScalingError,
 )
@@ -383,6 +384,11 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(Exception):
             evaluate(np.array([1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="1 of 2 predictions are not finite"):
+            evaluate(np.array([1.0, bad]), np.array([1.0, 2.0]))
 
     @given(st.floats(0.1, 100.0))
     @settings(max_examples=30, deadline=None)

@@ -13,6 +13,8 @@ and the number of pairs in which the change is lower (better); every
 run's correctness; and the ``src/`` line count of both checkouts. For
 each workload and metric it prints one summary line: both medians, the
 change's median against the parent's in %, and the pairs the change won.
+After writing the file it prints every run that is not correct or has a
+failed check, and then exits 1.
 """
 from __future__ import annotations
 
@@ -88,7 +90,21 @@ def main(argv=None) -> int:
                      for side, rs in runs.items()},
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    broken = broken_runs(report)
+    for line in broken:
+        print(line, file=sys.stderr)
+    return 1 if broken else 0
+
+
+def broken_runs(report: dict) -> list[str]:
+    """One line per run of the report that is not correct or failed a check, naming its workload, side and seed."""
+    return [
+        f"{workload} seed {seed} {side}: correct {run['correct']}, {run['failed']} of {run['attempted']} checks failed"
+        for workload, entry in report["workloads"].items()
+        for side, rs in entry["runs"].items()
+        for seed, run in enumerate(rs, start=1)
+        if not run["correct"] or run["failed"] > 0
+    ]
 
 
 if __name__ == "__main__":
