@@ -311,18 +311,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except HybridcastError as exc:  # ConfigError, DataError and NumericalError are disjoint
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except HybridcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, DataError):
+            return EXIT_DATA
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -355,21 +355,26 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update, applied to params in place."""
+    """Bias-corrected Adam update, applied to params in place.
+
+    p -= lr/bc1 * m / (sqrt(v)/sqrt(bc2) + eps), each block's arithmetic
+    in place through one scratch array.
+    """
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    step = lr / (1.0 - beta1**state.t)
+    root_bc2 = np.sqrt(1.0 - beta2**state.t)
     for name, p in params.items():
         g = grads[name]
         if np.shape(g) != np.shape(p):
             raise ShapeError(f"grad shape {np.shape(g)} != param shape {np.shape(p)} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+        m, v, s = state.m[name], state.v[name], np.empty_like(p)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=s)
         v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += np.multiply(np.square(g, out=s), 1.0 - beta2, out=s)
+        np.divide(np.sqrt(v, out=s), root_bc2, out=s)
+        s += eps
+        p -= np.multiply(np.divide(m, s, out=s), step, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +522,28 @@ class ForecastModel:
             rows[:, :, u] = xp[u * d : u * d + t_steps]
         return rows.reshape(t_steps * b, -1)
 
-    def _input_weights(self, w_x: np.ndarray):
-        """(E, e0, cache) with rows @ E.T + e0 equal to the (G, C*F) weights w_x applied to the conv output.
+    def _kernel_and_bias(self) -> np.ndarray:
+        """[kernel | conv_bias] (C, 10): the bias is a tenth tap, one that reads a constant 1."""
+        return np.column_stack([self.params["conv_kernel"].reshape(-1, KERNEL_SIZE**2), self.params["conv_bias"]])
 
-        lstm: no conv, so E = w_x and e0 = 0. Conv variants: E[g, u, f'] =
-        sum_{c,v} w_x[g, c, f'-v*d] K[c, u, v] (G, 3, F+2d) and e0 = w_x.sum(f) @ conv_bias.
+    def _input_weights(self, w_x: np.ndarray):
+        """(E, e0) with rows @ E.T + e0 equal to the weights w_x applied to the conv output.
+
+        lstm: no conv, so E = w_x (G, F) and e0 = 0. Conv variants: w_x is
+        (G, C, F); one small GEMM per gate g gives taps[g] = [K | conv_bias].T
+        @ w_x[g] (G, 10, F), then E[g, u, f'] = sum_v taps[g, 3u+v, f'-v*d]
+        (G, 3, F+2d) and e0[g] = taps[g, 9].sum(). No W_x-sized array is
+        copied or transposed.
         """
         if not self._uses_conv:
-            return w_x, 0.0, None
-        d, f = self.config.dilation, self.n_features
-        kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)  # (C, 9)
-        # w_x with the channel first: w_t[c, g*F + f] = w_x[g, c*F + f]
-        w_t = w_x.reshape(len(w_x), -1, f).transpose(1, 0, 2).reshape(len(kernel), -1)
-        taps = (kernel.T @ w_t).reshape(KERNEL_SIZE, KERNEL_SIZE, len(w_x), f)
-        e = np.zeros((len(w_x), KERNEL_SIZE, f + 2 * d))
+            return w_x, 0.0
+        d, f, n_gates = self.config.dilation, self.n_features, len(w_x)
+        taps = np.matmul(self._kernel_and_bias().T, w_x)
+        per_tap = taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f)
+        e = np.zeros((n_gates, KERNEL_SIZE, f + 2 * d))
         for v in range(KERNEL_SIZE):
-            e[:, :, v * d : v * d + f] += taps[:, v].transpose(1, 0, 2)
-        w_sums = w_t.reshape(len(kernel), len(w_x), f).sum(axis=2)  # (C, G)
-        return e.reshape(len(w_x), -1), self.params["conv_bias"] @ w_sums, (w_t, w_sums)
+            e[:, :, v * d : v * d + f] += per_tap[:, :, v]
+        return e.reshape(n_gates, -1), taps[:, -1].sum(axis=1)
 
     def forward(self, windows: np.ndarray):
         """Predictions (B,) for a batch of standardized windows, plus cache."""
@@ -543,10 +552,11 @@ class ForecastModel:
         rows = self._input_rows(x)
         if self._uses_lstm:
             w_x = self.lstm.w[:, self.config.hidden_size :]
-        else:  # dense_w over the (C, T, F) conv output, as one row of C*F weights per step
-            w_x = self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2).reshape(t_steps, -1)
-        e, e0, w_cache = self._input_weights(w_x)
-        cache = {"shape": x.shape, "rows": rows, "e": e, "w_cache": w_cache}
+            w_x = w_x.reshape(len(w_x), -1, f) if self._uses_conv else w_x
+        else:  # dense_w over the (C, T, F) conv output, as one (C, F) block of weights per step
+            w_x = self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
+        e, e0 = self._input_weights(w_x)
+        cache = {"shape": x.shape, "rows": rows, "e": e, "w_x": w_x}
         if not self._uses_lstm:  # step t's rows meet only row t of E
             step_sums = np.einsum("tbk,tk->b", rows.reshape(t_steps, b, -1), e)
             return step_sums + (e0.sum() + float(self.params["dense_b"])), cache
@@ -591,41 +601,43 @@ class ForecastModel:
             grad_w[:, hidden:] = grad_e
             grad_x = None if grad_rows is None else grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
             return grads, grad_x
-        if self._uses_lstm:  # the w_x gradient channel first, (C, gates, F), as _conv_backward writes it
-            grad_w_t = grad_w[:, hidden:].reshape(len(grad_b), -1, f).transpose(1, 0, 2)
-        else:  # dense_w is the cnn's w_x channel first already
+        if self._uses_lstm:  # the w_x gradient as (gates, C, F), the layout of w_x
+            grad_w_x = grad_w[:, hidden:].reshape(len(grad_b), -1, f)
+        else:
             grads["dense_w"] = np.empty_like(self.params["dense_w"])
-            grad_w_t = grads["dense_w"].reshape(-1, t_steps, f)
+            grad_w_x = grads["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
         grads["conv_kernel"], grads["conv_bias"], grad_x = self._conv_backward(
-            cache["w_cache"], grad_e, grad_b, grad_rows, cache["shape"], grad_w_t
+            cache["w_x"], grad_e, grad_b, grad_rows, cache["shape"], grad_w_x
         )
         return grads, grad_x
 
-    def _conv_backward(self, w_cache, grad_e, grad_b, grad_rows, shape, grad_w_t):
+    def _conv_backward(self, w_x, grad_e, grad_b, grad_rows, shape, grad_w_x):
         """Map the gradients of E, e0 and the rows back to (kernel, conv_bias, window) and w_x.
 
-        The w_x gradient goes into grad_w_t (C, gates, F), channel first;
-        the window gradient is None when grad_rows is.
+        grad_taps (G, 10, F), gathered from the E and e0 gradients, is the
+        gradient of _input_weights' taps. The w_x gradient [K | conv_bias] @
+        grad_taps[g] goes into grad_w_x (G, C, F), as one small GEMM per
+        gate g; sum_g w_x[g] @ grad_taps[g].T is the [K | conv_bias]
+        gradient. The window gradient is None when grad_rows is.
         """
-        (w_t, w_sums), (b, t_steps, f) = w_cache, shape
+        b, t_steps, f = shape
         d, n_gates = self.config.dilation, len(grad_b)
-        kernel = self.params["conv_kernel"].reshape(-1, KERNEL_SIZE * KERNEL_SIZE)
         grad_e = grad_e.reshape(n_gates, KERNEL_SIZE, f + 2 * d)
-        grad_taps = np.empty((KERNEL_SIZE, KERNEL_SIZE, n_gates, f))
+        grad_taps = np.empty((n_gates, KERNEL_SIZE**2 + 1, f))
+        per_tap = grad_taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f)  # a view
         for v in range(KERNEL_SIZE):
-            grad_taps[:, v] = grad_e[:, :, v * d : v * d + f].transpose(1, 0, 2)
-        grad_taps = grad_taps.reshape(KERNEL_SIZE * KERNEL_SIZE, -1)
-        grad_kernel = (w_t @ grad_taps.T).reshape(self.params["conv_kernel"].shape)
-        grad_w_t[...] = (kernel @ grad_taps).reshape(len(kernel), n_gates, f)
-        grad_w_t += self.params["conv_bias"][:, None, None] * grad_b[None, :, None]  # through e0
-        if grad_rows is None:
-            return grad_kernel, w_sums @ grad_b, None
-        grad_rows = grad_rows.reshape(t_steps, b, KERNEL_SIZE, f + 2 * d)
-        grad_xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
-        for u in range(KERNEL_SIZE):
-            grad_xp[u * d : u * d + t_steps] += grad_rows[:, :, u]
-        grad_x = grad_xp[d : d + t_steps, :, d : d + f].transpose(1, 0, 2)
-        return grad_kernel, w_sums @ grad_b, grad_x
+            per_tap[:, :, v] = grad_e[:, :, v * d : v * d + f]
+        grad_taps[:, -1] = grad_b[:, None]
+        np.matmul(self._kernel_and_bias(), grad_taps, out=grad_w_x)
+        grad_kb = np.matmul(w_x, grad_taps.transpose(0, 2, 1)).sum(axis=0)
+        grad_x = None
+        if grad_rows is not None:
+            grad_rows = grad_rows.reshape(t_steps, b, KERNEL_SIZE, f + 2 * d)
+            grad_xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
+            for u in range(KERNEL_SIZE):
+                grad_xp[u * d : u * d + t_steps] += grad_rows[:, :, u]
+            grad_x = grad_xp[d : d + t_steps, :, d : d + f].transpose(1, 0, 2)
+        return grad_kb[:, :-1].reshape(self.params["conv_kernel"].shape), grad_kb[:, -1], grad_x
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         preds, _ = self.forward(windows)

@@ -53,10 +53,14 @@ CELL_SEED_STRIDE = 7919  # per-cell rng offset inside one comparison seed
 # panel types
 
 
-def _check_increasing(dates: list[date]) -> None:
+def _check_dated_columns(dates: list[date], columns: dict[str, np.ndarray]) -> None:
+    """Strictly increasing dates, and one row per date in every column."""
     for i in range(1, len(dates)):
         if dates[i] <= dates[i - 1]:
             raise DuplicateDateError(f"dates must be strictly increasing; offending date {dates[i].isoformat()}")
+    for name, col in columns.items():
+        if len(col) != len(dates):
+            raise ShapeError(f"column {name!r} has {len(col)} rows for {len(dates)} dates")
 
 
 @dataclass
@@ -71,11 +75,7 @@ class SeriesFragment:
     columns: dict[str, np.ndarray]
 
     def __post_init__(self):
-        _check_increasing(self.dates)
-        n = len(self.dates)
-        for name, col in self.columns.items():
-            if len(col) != n:
-                raise ShapeError(f"column {name!r} has {len(col)} rows for {n} dates")
+        _check_dated_columns(self.dates, self.columns)
 
 
 @dataclass
@@ -89,11 +89,8 @@ class TimeSeriesFrame:
     def __post_init__(self):
         if self.target_name not in self.columns:
             raise ParameterError(f"target column {self.target_name!r} not in panel")
-        _check_increasing(self.dates)
-        n = len(self.dates)
+        _check_dated_columns(self.dates, self.columns)
         for name, col in self.columns.items():
-            if len(col) != n:
-                raise ShapeError(f"column {name!r} has {len(col)} rows for {n} dates")
             if not np.all(np.isfinite(col)):
                 raise ParameterError(f"column {name!r} contains missing/non-finite values")
 
@@ -579,7 +576,8 @@ def restrict_features(frame: TimeSeriesFrame, selection: SelectionReport | None)
 def score_forecasts(model: ForecastModel, split, target_name: str, label: str | None = None):
     """Test-span forecasts of a prepare_split result on the original scale, and their metrics row."""
     scaler, _, test_b = split
-    preds = scaler.inverse_column(target_name, model.predict(test_b.inputs))
+    with np.errstate(over="ignore", invalid="ignore"):  # evaluate reports non-finite forecasts
+        preds = scaler.inverse_column(target_name, model.predict(test_b.inputs))
     m = evaluate(preds, test_b.targets_orig)
     row = MetricsRow(label or model.config.variant, m.mse, m.mae, m.mape, model.config.seed)
     return row, preds

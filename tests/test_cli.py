@@ -206,22 +206,40 @@ class TestTrainEvaluateCommands:
         assert run("evaluate", "--config", tiny_config, "--out", out) == 2
         assert "train_span_sha256" in capsys.readouterr().err
 
-    def test_evaluate_non_finite_predictions_is_numerical_error(self, tiny_config, tmp_path, capsys):
-        """A checkpoint whose forecasts overflow exits 3 and writes no metrics or predictions."""
-        out = str(tmp_path / "o")
-        assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
+    @staticmethod
+    def train_overflowing_checkpoint(config, out):
+        """Train on the tiny config, then edit the checkpoint so that every forecast overflows."""
+        assert run("train", "--config", config, "--out", out, "--all-features") == 0
         path = os.path.join(out, "checkpoint.json")
         ckpt = json.load(open(path))
         ckpt["params"]["dense_b"] = encode_array(np.array(1e308))
         ckpt["scaler"]["sd"] = [1e10] * len(ckpt["scaler"]["sd"])
         with open(path, "w") as fh:
             json.dump(ckpt, fh)
+
+    def test_evaluate_non_finite_predictions_is_numerical_error(self, tiny_config, tmp_path, capsys):
+        """A checkpoint whose forecasts overflow exits 3 and writes no metrics or predictions."""
+        out = str(tmp_path / "o")
+        self.train_overflowing_checkpoint(tiny_config, out)
         capsys.readouterr()
         with np.errstate(over="ignore"):
             assert run("evaluate", "--config", tiny_config, "--out", out) == 3
         assert "predictions are not finite" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
         assert not os.path.exists(os.path.join(out, "eval_predictions.csv"))
+
+    def test_evaluate_overflow_prints_only_the_error(self, tiny_config, tmp_path):
+        """In a fresh process with warnings shown, the overflow exits 3 with one stderr line and no RuntimeWarning."""
+        out = str(tmp_path / "o")
+        self.train_overflowing_checkpoint(tiny_config, out)
+        src = os.path.dirname(os.path.dirname(hybridcast.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hybridcast.cli; sys.exit(hybridcast.cli.main(sys.argv[1:]))",
+             "evaluate", "--config", tiny_config, "--out", out],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["error: 8 of 8 predictions are not finite"]
 
     def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")

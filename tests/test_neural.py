@@ -474,15 +474,31 @@ class TestFoldedInput:
     and the weights after it (LSTM gates or cnn head); these tests are the guard.
     """
 
-    @pytest.mark.parametrize(
-        "variant,dilation",
-        [("cnn", 1), ("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)],
-    )
+    WIRINGS = [("cnn", 1), ("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)]
+
+    @pytest.mark.parametrize("variant,dilation", WIRINGS)
     def test_matches_unfolded_model(self, variant, dilation, rng):
-        cfg = ModelConfig(variant=variant, dilation=dilation, window=5, hidden_size=32, out_channels=16, seed=7)
-        model = ForecastModel(cfg, n_features=35)
-        windows = rng.standard_normal((64, 5, 35))
-        grad_preds = rng.standard_normal(64)
+        self.check(variant, dilation, rng)
+
+    @pytest.mark.parametrize("variant,dilation", WIRINGS)
+    @pytest.mark.parametrize(
+        "shape",
+        [{"out_channels": 1}, {"n_features": 1}, {"hidden_size": 1}, {"batch": 1}, {"zero_conv_bias": True}],
+        ids=["one-channel", "one-feature", "one-unit", "one-window", "zero-conv-bias"],
+    )
+    def test_degenerate_shapes_match_unfolded_model(self, variant, dilation, shape, rng):
+        self.check(variant, dilation, rng, **shape)
+
+    @staticmethod
+    def check(variant, dilation, rng, out_channels=16, n_features=35, hidden_size=32, batch=64, zero_conv_bias=False):
+        cfg = ModelConfig(
+            variant=variant, dilation=dilation, window=5, hidden_size=hidden_size, out_channels=out_channels, seed=7
+        )
+        model = ForecastModel(cfg, n_features=n_features)
+        if zero_conv_bias and "conv_bias" in model.params:
+            model.params["conv_bias"][:] = 0.0
+        windows = rng.standard_normal((batch, 5, n_features))
+        grad_preds = rng.standard_normal(batch)
         preds, cache = model.forward(windows)
         grads, grad_x = model.backward(cache, grad_preds, window_grad=True)
         ref_preds, ref_grads, ref_grad_x = unfolded_model(model, windows, grad_preds)
@@ -569,6 +585,32 @@ class TestAdam:
         state = adam_init(params)
         with pytest.raises(ShapeError):
             adam_step(state, params, {"p": np.zeros(2)})
+
+    def test_matches_textbook_update(self, rng):
+        """100 steps on a 0-d block, a 1-d block and a row-block view of a gate stack, against Kingma & Ba's Algorithm 1."""
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        stack = rng.standard_normal((8, 5))  # (4H, H+I) with H = 2, I = 3
+        untouched = np.delete(stack, [2, 3], axis=0)
+        params = {"dense_b": np.array(0.3), "dense_w": rng.standard_normal(4), "W_i": stack[2:4]}
+        ref = {k: np.array(p, copy=True) for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        state = adam_init(params)
+        for t in range(1, 101):
+            grads = {k: np.asarray(rng.standard_normal(np.shape(p))) for k, p in ref.items()}
+            adam_step(state, params, grads, lr, beta1, beta2, eps)
+            for k, g in grads.items():
+                m[k] = beta1 * m[k] + (1.0 - beta1) * g
+                v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+                m_hat = m[k] / (1.0 - beta1**t)
+                v_hat = v[k] / (1.0 - beta2**t)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k, want in ref.items():
+            assert np.shape(params[k]) == np.shape(want)
+            assert np.max(np.abs(params[k] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert params["W_i"].base is stack
+        assert np.array_equal(stack[2:4], params["W_i"])
+        assert np.array_equal(np.delete(stack, [2, 3], axis=0), untouched)
 
 
 class TestModelConfig:
