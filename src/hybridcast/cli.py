@@ -216,6 +216,8 @@ def cmd_evaluate(args) -> int:
     model = neural.model_from_dict(ckpt)
     scaler = from_json(pipeline.StandardScaler, ckpt.get("scaler"), "checkpoint.scaler", DataError)
     feature_names = from_json(list[str], ckpt.get("feature_names"), "checkpoint.feature_names", DataError)
+    if scaler.names != feature_names:
+        raise DataError(f"checkpoint.scaler.names {scaler.names} differ from checkpoint.feature_names {feature_names}")
 
     frame, _ = load_panel(config.data)
     split = pipeline.prepare_split(

@@ -22,6 +22,12 @@ write the memory the forward pass reads. The sigmoid is computed with
 numpy's tanh, so this module imports numpy alone. backward computes the
 window gradient only when asked: training does not need it.
 
+Training and inference take two paths through the LSTM variants. forward,
+which backward follows, takes every step's input pre-activations in one
+GEMM and keeps every step's gate activations. predict streams one step's
+rows at a time and keeps only (h, c): half forward's peak memory or less.
+Each is the slower path on the other's workload.
+
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
 gradcheck).
@@ -505,20 +511,27 @@ class ForecastModel:
             )
         return w
 
-    def _input_rows(self, x: np.ndarray) -> np.ndarray:
-        """What the weights after the conv multiply at every step: (T*B, K), rows in (t, b) order.
+    def _time_major(self, x: np.ndarray):
+        """(xp, taps): the window as the rows read it, and how many rows each step reads.
 
-        lstm: the window row x[b, t]. Conv variants: the three dilated rows
-        xp[b, t + u*d] of the zero-padded window, u = 0, 1, 2, side by side.
+        lstm: xp is x as (T, B, F), a view, and step t reads xp[t]. Conv
+        variants: xp is the zero-padded window (T+2d, B, F+2d), and step t
+        reads the three dilated rows xp[t + u*d], u = 0, 1, 2, side by side.
         """
-        b, t_steps, f = x.shape
         if not self._uses_conv:
-            return x.transpose(1, 0, 2).reshape(t_steps * b, f)
+            return x.transpose(1, 0, 2), 1
+        b, t_steps, f = x.shape
         d = self.config.dilation
-        xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))  # time-major padded window
+        xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
         xp[d : d + t_steps, :, d : d + f] = x.transpose(1, 0, 2)
-        rows = np.empty((t_steps, b, KERNEL_SIZE, f + 2 * d))
-        for u in range(KERNEL_SIZE):
+        return xp, KERNEL_SIZE
+
+    def _input_rows(self, x: np.ndarray) -> np.ndarray:
+        """What the weights after the conv multiply at every step: (T*B, K), rows in (t, b) order."""
+        b, t_steps, _ = x.shape
+        (xp, taps), d = self._time_major(x), self.config.dilation
+        rows = np.empty((t_steps, b, taps, xp.shape[2]))
+        for u in range(taps):
             rows[:, :, u] = xp[u * d : u * d + t_steps]
         return rows.reshape(t_steps * b, -1)
 
@@ -545,16 +558,20 @@ class ForecastModel:
             e[:, :, v * d : v * d + f] += per_tap[:, :, v]
         return e.reshape(n_gates, -1), taps[:, -1].sum(axis=1)
 
+    def _weights_after_conv(self) -> np.ndarray:
+        """The weights that read the conv output (or, for lstm, the window), as _input_weights takes them."""
+        t_steps, f = self.config.window, self.n_features
+        if not self._uses_lstm:  # dense_w over the (C, T, F) conv output, as one (C, F) block of weights per step
+            return self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
+        w_x = self.lstm.w[:, self.config.hidden_size :]
+        return w_x.reshape(len(w_x), -1, f) if self._uses_conv else w_x
+
     def forward(self, windows: np.ndarray):
-        """Predictions (B,) for a batch of standardized windows, plus cache."""
+        """Predictions (B,) for a batch of standardized windows, plus the cache backward reads."""
         x = self._check_windows(windows)
         b, t_steps, f = x.shape
         rows = self._input_rows(x)
-        if self._uses_lstm:
-            w_x = self.lstm.w[:, self.config.hidden_size :]
-            w_x = w_x.reshape(len(w_x), -1, f) if self._uses_conv else w_x
-        else:  # dense_w over the (C, T, F) conv output, as one (C, F) block of weights per step
-            w_x = self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
+        w_x = self._weights_after_conv()
         e, e0 = self._input_weights(w_x)
         cache = {"shape": x.shape, "rows": rows, "e": e, "w_x": w_x}
         if not self._uses_lstm:  # step t's rows meet only row t of E
@@ -640,8 +657,26 @@ class ForecastModel:
         return grad_kb[:, :-1].reshape(self.params["conv_kernel"].shape), grad_kb[:, -1], grad_x
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        preds, _ = self.forward(windows)
-        return preds
+        """Predictions (B,) for a batch of standardized windows: the inference pass.
+
+        The LSTM variants form step t's rows alone, (B, 3(F+2d)) or (B, F),
+        feed rows_t @ E.T + b + e0 to lstm_step and keep only the running
+        state; no backward follows, so the (T*B, K) rows, the (T, B, 4H)
+        pre-activations and the gate activations forward keeps are never
+        held. cnn has no recurrent state and predicts through forward.
+        """
+        if not self._uses_lstm:
+            return self.forward(windows)[0]
+        x = self._check_windows(windows)
+        (xp, taps), d = self._time_major(x), self.config.dilation
+        e, e0 = self._input_weights(self._weights_after_conv())
+        bias = self.lstm.b + e0
+        state = lstm_zero_state(self.lstm, len(x))
+        for t in range(x.shape[1]):
+            a_t = np.concatenate([xp[t + u * d] for u in range(taps)], axis=1) @ e.T
+            a_t += bias
+            state = lstm_step(self.lstm, a_t, state)
+        return dense_forward(self.params["dense_w"], float(self.params["dense_b"]), state.h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,10 @@ ZERO_SCALER_SD_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
     "scaler": {"names": ["macro_01", "price"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
 }
 
+RENAMED_SCALER_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
+    "scaler": {"names": ["zz", "price"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
+}
+
 NAN_PARAM_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
     "params": SCALER_SHORT_MEAN_CHECKPOINT["params"] | {"dense_b": encode_array(np.array(np.nan))},
 }
@@ -430,6 +434,7 @@ FOREIGN_COLUMN_SELECTION = {
         ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", NAN_SCALER_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", ZERO_SCALER_SD_CHECKPOINT, 2, "checkpoint.scaler"),
+        ("checkpoint.json", RENAMED_SCALER_CHECKPOINT, 2, "checkpoint.scaler.names"),
         ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
     ],
     ids=[
@@ -438,7 +443,7 @@ FOREIGN_COLUMN_SELECTION = {
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-no-features", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
-        "checkpoint-scaler-zero-sd", "checkpoint-nan-param",
+        "checkpoint-scaler-zero-sd", "checkpoint-scaler-names-differ", "checkpoint-nan-param",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

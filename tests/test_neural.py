@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -503,7 +504,11 @@ class TestFoldedInput:
         grads, grad_x = model.backward(cache, grad_preds, window_grad=True)
         ref_preds, ref_grads, ref_grad_x = unfolded_model(model, windows, grad_preds)
         assert set(grads) == set(ref_grads) == set(model.params)
-        pairs = [(preds, ref_preds), (grad_x, ref_grad_x)] + [(grads[k], ref_grads[k]) for k in model.params]
+        predicted = model.predict(windows)  # the inference pass, step by step, against training's forward
+        assert predicted.shape == preds.shape
+        assert np.max(np.abs(predicted - preds)) <= 1e-15 * np.max(np.abs(preds))
+        pairs = [(preds, ref_preds), (predicted, ref_preds), (grad_x, ref_grad_x)]
+        pairs += [(grads[k], ref_grads[k]) for k in model.params]
         for got, want in pairs:
             assert np.shape(got) == np.shape(want)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -645,6 +650,22 @@ class TestForecastModel:
         model = ForecastModel(cfg, n_features=4)
         preds = model.predict(rng.standard_normal((6, 5, 4)))
         assert not preds.any()
+
+    @pytest.mark.parametrize("variant", ["dilated_cnn_lstm", "lstm"])
+    def test_predict_keeps_no_training_cache(self, variant, rng):
+        """predict holds one step's rows and state where forward holds every step's: half forward's peak or less."""
+        model = ForecastModel(ModelConfig(variant=variant), n_features=35)
+        windows = rng.standard_normal((1055, 5, 35))
+        peaks = []
+        for run in (model.predict, model.forward):
+            run(windows)  # warm-up
+            tracemalloc.start()
+            try:
+                run(windows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.5 * peaks[1], peaks
 
     @pytest.mark.parametrize("variant", neural.VARIANTS)
     def test_deterministic_init(self, variant):
