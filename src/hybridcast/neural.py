@@ -11,9 +11,10 @@ Four wirings of the same pieces are supported (see ForecastModel):
 The conv never runs as a layer. Nothing nonlinear sits between it and the
 weights that read its output (the LSTM input weights, or the cnn head as T
 rows of C*F weights, one per step), so the two are one linear map of the
-padded window, composed once per forward (ForecastModel._input_weights);
-an activation after the conv would break this. Conv2dLayer is the unfolded
-conv the tests check the fold against. Checkpoints keep the unfolded blocks.
+window, composed once per forward (ForecastModel._input_weights) into one
+block per kernel row that skips the zero padding. An activation after the
+conv would break this. Conv2dLayer is the unfolded conv the tests check
+the fold against. Checkpoints keep the unfolded blocks.
 
 The LSTM weights live in one (4H, H+I) gate stack and one (4H,) bias
 stack (LstmParams); the W_f ... b_o parameter blocks are row-block views
@@ -24,9 +25,9 @@ window gradient only when asked: training does not need it.
 
 Training and inference take two paths through the LSTM variants. forward,
 which backward follows, takes every step's input pre-activations in one
-GEMM and keeps every step's gate activations. predict streams one step's
-rows at a time and keeps only (h, c): half forward's peak memory or less.
-Each is the slower path on the other's workload.
+tall GEMM per block and keeps every step's gate activations. predict
+takes one step's inputs at a time and keeps only (h, c): half forward's
+peak memory or less. Each is the slower path on the other's workload.
 
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
@@ -431,6 +432,13 @@ class ModelConfig:
             raise ParameterError(f"init_scheme must be 'uniform' or 'zeros', got {self.init_scheme!r}")
 
 
+def _overlap(n: int, offset: int, scale: int = 1):
+    """(dst, src) slices, times scale, of the dst in range(n) whose src = dst + offset is in range(n) too."""
+    lo = max(0, -offset)
+    hi = max(lo, min(n, n - offset))
+    return slice(lo * scale, hi * scale), slice((lo + offset) * scale, (hi + offset) * scale)
+
+
 class ForecastModel:
     """One of the four variant networks over a T x F window.
 
@@ -450,6 +458,8 @@ class ForecastModel:
 
         self._uses_conv = config.variant != "lstm"
         self._uses_lstm = config.variant != "cnn"
+        # (u, offset) per (G, F) block E[u] of the input weights, centre first: step t reads window row t + offset
+        self._taps = [(1, 0), (0, -config.dilation), (2, config.dilation)] if self._uses_conv else [(0, 0)]
 
         expected = self._block_shapes()
         if params is None:
@@ -511,52 +521,41 @@ class ForecastModel:
             )
         return w
 
-    def _time_major(self, x: np.ndarray):
-        """(xp, taps): the window as the rows read it, and how many rows each step reads.
+    def _tap_products(self, rows: np.ndarray, weights: np.ndarray, t_steps: int, reverse: bool = False):
+        """out[t] = sum_u rows[t + offset_u] @ weights[u], rows (T*B, K) in (t, b) order; reverse negates offset_u.
 
-        lstm: xp is x as (T, B, F), a view, and step t reads xp[t]. Conv
-        variants: xp is the zero-padded window (T+2d, B, F+2d), and step t
-        reads the three dilated rows xp[t + u*d], u = 0, 1, 2, side by side.
+        One tall GEMM per block, centre first, over the steps whose shifted row is inside the window.
         """
-        if not self._uses_conv:
-            return x.transpose(1, 0, 2), 1
-        b, t_steps, f = x.shape
-        d = self.config.dilation
-        xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
-        xp[d : d + t_steps, :, d : d + f] = x.transpose(1, 0, 2)
-        return xp, KERNEL_SIZE
-
-    def _input_rows(self, x: np.ndarray) -> np.ndarray:
-        """What the weights after the conv multiply at every step: (T*B, K), rows in (t, b) order."""
-        b, t_steps, _ = x.shape
-        (xp, taps), d = self._time_major(x), self.config.dilation
-        rows = np.empty((t_steps, b, taps, xp.shape[2]))
-        for u in range(taps):
-            rows[:, :, u] = xp[u * d : u * d + t_steps]
-        return rows.reshape(t_steps * b, -1)
+        (u, _), *sides = self._taps
+        out, batch = rows @ weights[u], len(rows) // t_steps
+        for u, offset in sides:
+            dst, src = _overlap(t_steps, -offset if reverse else offset, batch)
+            out[dst] += rows[src] @ weights[u]
+        return out
 
     def _kernel_and_bias(self) -> np.ndarray:
         """[kernel | conv_bias] (C, 10): the bias is a tenth tap, one that reads a constant 1."""
         return np.column_stack([self.params["conv_kernel"].reshape(-1, KERNEL_SIZE**2), self.params["conv_bias"]])
 
     def _input_weights(self, w_x: np.ndarray):
-        """(E, e0) with rows @ E.T + e0 equal to the weights w_x applied to the conv output.
+        """(E, e0): the weights w_x applied to the conv output, as blocks E[u] (G, F) for _taps.
 
-        lstm: no conv, so E = w_x (G, F) and e0 = 0. Conv variants: w_x is
-        (G, C, F); one small GEMM per gate g gives taps[g] = [K | conv_bias].T
-        @ w_x[g] (G, 10, F), then E[g, u, f'] = sum_v taps[g, 3u+v, f'-v*d]
-        (G, 3, F+2d) and e0[g] = taps[g, 9].sum(). No W_x-sized array is
-        copied or transposed.
+        lstm: no conv, so E = w_x[None] (1, G, F) and e0 = 0. Conv variants:
+        w_x is (G, C, F); one small GEMM per gate g gives taps[g] = [K |
+        conv_bias].T @ w_x[g] (G, 10, F), then E[u, g, f] = sum_v taps[g,
+        3u+v, f + (1-v)d] over the columns inside the window (3, G, F), and
+        e0[g] = taps[g, 9].sum(). No W_x-sized array is copied or transposed.
         """
         if not self._uses_conv:
-            return w_x, 0.0
+            return w_x[None], 0.0
         d, f, n_gates = self.config.dilation, self.n_features, len(w_x)
         taps = np.matmul(self._kernel_and_bias().T, w_x)
-        per_tap = taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f)
-        e = np.zeros((n_gates, KERNEL_SIZE, f + 2 * d))
+        per_tap = taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f).transpose(1, 0, 2, 3)  # (u, g, v, f)
+        e = np.zeros((KERNEL_SIZE, n_gates, f))
         for v in range(KERNEL_SIZE):
-            e[:, :, v * d : v * d + f] += per_tap[:, :, v]
-        return e.reshape(n_gates, -1), taps[:, -1].sum(axis=1)
+            cols, src = _overlap(f, (1 - v) * d)
+            e[:, :, cols] += per_tap[:, :, v, src]
+        return e, taps[:, -1].sum(axis=1)
 
     def _weights_after_conv(self) -> np.ndarray:
         """The weights that read the conv output (or, for lstm, the window), as _input_weights takes them."""
@@ -570,14 +569,14 @@ class ForecastModel:
         """Predictions (B,) for a batch of standardized windows, plus the cache backward reads."""
         x = self._check_windows(windows)
         b, t_steps, f = x.shape
-        rows = self._input_rows(x)
+        rows = x.transpose(1, 0, 2).reshape(t_steps * b, f)  # time-major: (t, b) order
         w_x = self._weights_after_conv()
         e, e0 = self._input_weights(w_x)
         cache = {"shape": x.shape, "rows": rows, "e": e, "w_x": w_x}
-        if not self._uses_lstm:  # step t's rows meet only row t of E
-            step_sums = np.einsum("tbk,tk->b", rows.reshape(t_steps, b, -1), e)
+        a_x = self._tap_products(rows, e.transpose(0, 2, 1), t_steps)
+        if not self._uses_lstm:  # cnn's G = T weight rows: step t's rows count only against row t
+            step_sums = np.einsum("tbt->b", a_x.reshape(t_steps, b, t_steps))
             return step_sums + (e0.sum() + float(self.params["dense_b"])), cache
-        a_x = rows @ e.T
         a_x += self.lstm.b + e0
         states, head_in = lstm_forward(self.lstm, a_x.reshape(t_steps, b, -1))
         cache["states"] = states
@@ -588,7 +587,7 @@ class ForecastModel:
         """Parameter gradients (same keys as params), and the window gradient if window_grad, else None.
 
         Training reads only the parameter gradients; the window gradient
-        costs one more GEMM and a scatter.
+        costs one more GEMM per block of E.
         """
         b, t_steps, f = cache["shape"]
         hidden, grads = self.config.hidden_size, {}
@@ -608,74 +607,73 @@ class ForecastModel:
             if grad_preds.shape != (b,):
                 raise ShapeError(f"grad_preds must be ({b},), got {grad_preds.shape}")
             gb = grad_preds.sum()
-            # d pred[b] / d (rows[t, b] . E[t']) is 1 where t' == t, else 0
+            # d pred[b] / d (rows[t, b] . E[u, t']) is 1 where t' == t, else 0
             da = (np.eye(t_steps)[:, None, :] * grad_preds[:, None]).reshape(t_steps * b, t_steps)
             grad_b = da.sum(axis=0)
         grads["dense_b"] = np.asarray(gb, dtype=np.float64).reshape(())
-        grad_e = da.T @ cache["rows"]
-        grad_rows = da @ cache["e"] if window_grad else None
-        if not self._uses_conv:  # lstm: E is w_x itself
-            grad_w[:, hidden:] = grad_e
-            grad_x = None if grad_rows is None else grad_rows.reshape(t_steps, b, f).transpose(1, 0, 2)
+        e = cache["e"]
+        grad_e = np.empty((len(e), len(grad_b), f))
+        for u, offset in self._taps:
+            dst, src = _overlap(t_steps, offset, b)
+            grad_e[u] = da[dst].T @ cache["rows"][src]
+        grad_x = None
+        if window_grad:
+            grad_x = self._tap_products(da, e, t_steps, reverse=True).reshape(t_steps, b, f).transpose(1, 0, 2)
+        if not self._uses_conv:  # lstm: E[0] is w_x itself
+            grad_w[:, hidden:] = grad_e[0]
             return grads, grad_x
         if self._uses_lstm:  # the w_x gradient as (gates, C, F), the layout of w_x
             grad_w_x = grad_w[:, hidden:].reshape(len(grad_b), -1, f)
         else:
             grads["dense_w"] = np.empty_like(self.params["dense_w"])
             grad_w_x = grads["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
-        grads["conv_kernel"], grads["conv_bias"], grad_x = self._conv_backward(
-            cache["w_x"], grad_e, grad_b, grad_rows, cache["shape"], grad_w_x
-        )
+        grads["conv_kernel"], grads["conv_bias"] = self._conv_backward(cache["w_x"], grad_e, grad_b, grad_w_x)
         return grads, grad_x
 
-    def _conv_backward(self, w_x, grad_e, grad_b, grad_rows, shape, grad_w_x):
-        """Map the gradients of E, e0 and the rows back to (kernel, conv_bias, window) and w_x.
+    def _conv_backward(self, w_x, grad_e, grad_b, grad_w_x):
+        """Map the gradients of E and e0 back to (kernel, conv_bias), and to w_x in grad_w_x.
 
         grad_taps (G, 10, F), gathered from the E and e0 gradients, is the
-        gradient of _input_weights' taps. The w_x gradient [K | conv_bias] @
-        grad_taps[g] goes into grad_w_x (G, C, F), as one small GEMM per
-        gate g; sum_g w_x[g] @ grad_taps[g].T is the [K | conv_bias]
-        gradient. The window gradient is None when grad_rows is.
+        gradient of _input_weights' taps; where a tap would read a padding
+        column it is zero. The w_x gradient [K | conv_bias] @ grad_taps[g]
+        goes into grad_w_x (G, C, F), as one small GEMM per gate g; sum_g
+        w_x[g] @ grad_taps[g].T is the [K | conv_bias] gradient.
         """
-        b, t_steps, f = shape
-        d, n_gates = self.config.dilation, len(grad_b)
-        grad_e = grad_e.reshape(n_gates, KERNEL_SIZE, f + 2 * d)
-        grad_taps = np.empty((n_gates, KERNEL_SIZE**2 + 1, f))
-        per_tap = grad_taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f)  # a view
+        d, n_gates, f = self.config.dilation, len(grad_b), grad_e.shape[2]
+        grad_taps = np.zeros((n_gates, KERNEL_SIZE**2 + 1, f))
+        per_tap = grad_taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f).transpose(1, 0, 2, 3)  # a view
         for v in range(KERNEL_SIZE):
-            per_tap[:, :, v] = grad_e[:, :, v * d : v * d + f]
+            cols, src = _overlap(f, (1 - v) * d)
+            per_tap[:, :, v, src] = grad_e[:, :, cols]
         grad_taps[:, -1] = grad_b[:, None]
         np.matmul(self._kernel_and_bias(), grad_taps, out=grad_w_x)
         grad_kb = np.matmul(w_x, grad_taps.transpose(0, 2, 1)).sum(axis=0)
-        grad_x = None
-        if grad_rows is not None:
-            grad_rows = grad_rows.reshape(t_steps, b, KERNEL_SIZE, f + 2 * d)
-            grad_xp = np.zeros((t_steps + 2 * d, b, f + 2 * d))
-            for u in range(KERNEL_SIZE):
-                grad_xp[u * d : u * d + t_steps] += grad_rows[:, :, u]
-            grad_x = grad_xp[d : d + t_steps, :, d : d + f].transpose(1, 0, 2)
-        return grad_kb[:, :-1].reshape(self.params["conv_kernel"].shape), grad_kb[:, -1], grad_x
+        return grad_kb[:, :-1].reshape(self.params["conv_kernel"].shape), grad_kb[:, -1]
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Predictions (B,) for a batch of standardized windows: the inference pass.
 
-        The LSTM variants form step t's rows alone, (B, 3(F+2d)) or (B, F),
-        feed rows_t @ E.T + b + e0 to lstm_step and keep only the running
-        state; no backward follows, so the (T*B, K) rows, the (T, B, 4H)
-        pre-activations and the gate activations forward keeps are never
-        held. cnn has no recurrent state and predicts through forward.
+        The LSTM variants take step t's input side alone, sum_u x[:, t +
+        offset_u] @ E[u].T + b + e0 in forward's order on views of the
+        window, and hand lstm_step a state of only (h, c); no backward
+        follows, so forward's rows, pre-activations and gate activations are
+        never held. cnn has no recurrent state and predicts through forward.
         """
         if not self._uses_lstm:
             return self.forward(windows)[0]
         x = self._check_windows(windows)
-        (xp, taps), d = self._time_major(x), self.config.dilation
         e, e0 = self._input_weights(self._weights_after_conv())
         bias = self.lstm.b + e0
+        (centre, _), *sides = self._taps
         state = lstm_zero_state(self.lstm, len(x))
         for t in range(x.shape[1]):
-            a_t = np.concatenate([xp[t + u * d] for u in range(taps)], axis=1) @ e.T
+            a_t = x[:, t] @ e[centre].T
+            for u, offset in sides:
+                if 0 <= t + offset < x.shape[1]:
+                    a_t += x[:, t + offset] @ e[u].T
             a_t += bias
             state = lstm_step(self.lstm, a_t, state)
+            state.f = state.i = state.z = state.o = state.tanh_c = None
         return dense_forward(self.params["dense_w"], float(self.params["dense_b"]), state.h)[0]
 
 

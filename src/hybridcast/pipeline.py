@@ -142,7 +142,7 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
 
     Rows are sorted by date; repeated header names, duplicate dates,
     unparseable cells and rows with more or fewer cells than the header
-    raise with row/column context.
+    raise with row/column context, and so does a file with no data rows.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -192,7 +192,8 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
                         f"{path}: row {lineno}, column {c!r}: cannot parse {cell!r} as a number"
                     ) from None
             rows.append((d, values))
-
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
     for i in range(1, len(rows)):
         if rows[i][0] == rows[i - 1][0]:

@@ -101,6 +101,15 @@ class TestSelectCommand:
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_header_only_csv_is_data_error(self, tmp_path, capsys):
+        """A target CSV with a header and no rows is one error line, not an IndexError from aligning on no dates."""
+        target = tmp_path / "t.csv"
+        target.write_text("date,price\n")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"data": {"source": "csv", "csv_paths": [str(target)]}}))
+        assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {target}: no data rows\n"
+
     @pytest.mark.parametrize("column", ["price", "oil"])
     def test_column_in_two_csvs_is_data_error(self, tmp_path, capsys, column):
         """A column name, the target's included, may appear in only one input file."""

@@ -490,15 +490,26 @@ class TestFoldedInput:
     def test_degenerate_shapes_match_unfolded_model(self, variant, dilation, shape, rng):
         self.check(variant, dilation, rng, **shape)
 
+    @pytest.mark.parametrize(
+        "variant,dilation,window",
+        [("dilated_cnn_lstm", d, w) for d in (2, 3, 5) for w in (1, 2, 3)]
+        + [(variant, 1, w) for variant in ("cnn_lstm", "cnn", "lstm") for w in (1, 2)],
+    )
+    def test_short_windows_match_unfolded_model(self, variant, dilation, window, rng):
+        """Windows no longer than the dilation: some or all of the outer kernel rows read only padding."""
+        self.check(variant, dilation, rng, window=window)
+
     @staticmethod
-    def check(variant, dilation, rng, out_channels=16, n_features=35, hidden_size=32, batch=64, zero_conv_bias=False):
+    def check(
+        variant, dilation, rng, out_channels=16, n_features=35, hidden_size=32, batch=64, zero_conv_bias=False, window=5
+    ):
         cfg = ModelConfig(
-            variant=variant, dilation=dilation, window=5, hidden_size=hidden_size, out_channels=out_channels, seed=7
+            variant=variant, dilation=dilation, window=window, hidden_size=hidden_size, out_channels=out_channels, seed=7
         )
         model = ForecastModel(cfg, n_features=n_features)
         if zero_conv_bias and "conv_bias" in model.params:
             model.params["conv_bias"][:] = 0.0
-        windows = rng.standard_normal((batch, 5, n_features))
+        windows = rng.standard_normal((batch, window, n_features))
         grad_preds = rng.standard_normal(batch)
         preds, cache = model.forward(windows)
         grads, grad_x = model.backward(cache, grad_preds, window_grad=True)

@@ -28,17 +28,25 @@ def fake_bench(broken: tuple):
     return bench
 
 
-@pytest.mark.parametrize("broken", [(), (("change", 2),)], ids=["all-correct", "one-broken"])
-def test_broken_runs_are_printed_and_fail(pairs, tmp_path, monkeypatch, capsys, broken):
+@pytest.mark.parametrize(
+    "first_seed,broken",
+    [(1, ()), (1, (("change", 2),)), (11, (("change", 12),))],
+    ids=["all-correct", "one-broken", "one-broken-held-out-seeds"],
+)
+def test_broken_runs_are_printed_and_fail(pairs, tmp_path, monkeypatch, capsys, first_seed, broken):
     for side in ("parent", "change"):
         (tmp_path / side / "src").mkdir(parents=True)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
     monkeypatch.setattr(pairs, "bench", fake_bench(broken))
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--pairs", "2", "--workload", "train-dilated", "--out", str(out)]
+            "--pairs", "2", "--first-seed", str(first_seed), "--workload", "train-dilated", "--out", str(out)]
     assert pairs.main(argv) == (1 if broken else 0)
-    runs = json.loads(out.read_text())["workloads"]["train-dilated"]["runs"]
+    report = json.loads(out.read_text())
+    assert report["seeds"] == [first_seed, first_seed + 1]
+    runs = report["workloads"]["train-dilated"]["runs"]
     assert [r["failed"] for r in runs["change"]] == [0, len(broken)]
     err = capsys.readouterr().err
-    assert ("train-dilated seed 2 change: correct False, 1 of 3 checks failed" in err) == bool(broken)
+    line = f"train-dilated seed {first_seed + 1} change: correct False, 1 of 3 checks failed"
+    assert (line in err) == bool(broken)
+    assert err.count("correct False") == len(broken)

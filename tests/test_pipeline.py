@@ -124,6 +124,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=r"a\.csv: row 3 has 2 cells, expected 3"):
             load_csv_series(p)
 
+    @pytest.mark.parametrize("text", ["date,price\n", "date,price\n\n,\n"], ids=["header-only", "blank-rows"])
+    def test_no_data_rows_rejected(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(CsvFormatError, match=r"a\.csv: no data rows"):
+            load_csv_series(p)
+
     def test_long_row_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("date,price\n2020-01-01,1.0,7\n2020-01-02,2.0\n")

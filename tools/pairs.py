@@ -1,14 +1,16 @@
 """Paired benchmark runs of a parent checkout against a change.
 
-    python3 tools/pairs.py --parent DIR [--change DIR] --pairs N \
+    python3 tools/pairs.py --parent DIR [--change DIR] --pairs N [--first-seed S0] \
                            --workload W [--workload W ...] --out BENCH_<label>.json
 
 Each checkout is a source tree holding ``perfbench/`` and ``src/``; make
 the parent one with ``git archive <rev> | tar -x -C DIR``. For seeds
-1..N it runs ``perfbench/run.py --workload W --seed S --trace 0`` in both,
-the parent first on odd seeds and the change first on even ones, for the
-``run_seconds`` of the change's ``BENCHMARK.json``. The output holds the
-machine info; per metric, both sides' median, Q1, Q3 and every value,
+S0..S0+N-1 (S0 defaults to 1; pick a later S0 for seeds held out while
+the change was written) it runs ``perfbench/run.py --workload W --seed S
+--trace 0`` in both, the parent first on odd seeds and the change first
+on even ones, for the ``run_seconds`` of the change's ``BENCHMARK.json``.
+The output holds the seeds and the machine info; per metric, both sides'
+median, Q1, Q3 and every value,
 and the number of pairs in which the change is lower (better); every
 run's correctness; and the ``src/`` line count of both checkouts. For
 each workload and metric it prints one summary line: both medians, the
@@ -60,17 +62,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
-    report = {"run_seconds": seconds, "pairs": args.pairs, "workloads": {},
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    report = {"run_seconds": seconds, "pairs": args.pairs, "seeds": seeds, "workloads": {},
               "src_lines": {side: src_lines(root) for side, root in sides.items()}}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for seed in range(1, args.pairs + 1):
+        for seed in seeds:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
                 report["machine"], result = bench(sides[side], workload, seed, seconds)
                 runs[side].append(result)
@@ -102,7 +106,7 @@ def broken_runs(report: dict) -> list[str]:
         f"{workload} seed {seed} {side}: correct {run['correct']}, {run['failed']} of {run['attempted']} checks failed"
         for workload, entry in report["workloads"].items()
         for side, rs in entry["runs"].items()
-        for seed, run in enumerate(rs, start=1)
+        for seed, run in zip(report["seeds"], rs)
         if not run["correct"] or run["failed"] > 0
     ]
 
