@@ -18,16 +18,19 @@ the fold against. Checkpoints keep the unfolded blocks.
 
 The LSTM weights live in one (4H, H+I) gate stack and one (4H,) bias
 stack (LstmParams); the W_f ... b_o parameter blocks are row-block views
-of them, so Adam, checkpoints and finite-difference probes all read and
-write the memory the forward pass reads. The sigmoid is computed with
-numpy's tanh, so this module imports numpy alone. backward computes the
-window gradient only when asked: training does not need it.
+of them, so Adam, checkpoints and in-place probes all read and write the
+memory the forward pass reads. The sigmoid is computed with numpy's
+tanh, so this module imports numpy alone. backward computes the window
+gradient only when asked: training does not need it.
 
-Training and inference take two paths through the LSTM variants. forward,
-which backward follows, takes every step's input pre-activations in one
-tall GEMM per block and keeps every step's gate activations. predict
-takes one step's inputs at a time and keeps only (h, c): half forward's
-peak memory or less. Each is the slower path on the other's workload.
+Training and inference take two paths through the LSTM variants, over
+one gate helper (_lstm_cell). forward, which backward follows, takes
+every step's input pre-activations in one tall GEMM per block and keeps
+every step's gate activations (lstm_step). predict takes one step's
+inputs at a time and keeps only (h, c): half forward's peak memory or
+less. Each is the slower path on the other's workload. Only predict
+reads a replica axis: a model whose blocks all lead with one axis S is S
+models, predicted as one (gradcheck probes a block this way).
 
 Everything is float64 and deterministic for a fixed seed; analytic
 gradients are validated against central finite differences (see
@@ -169,10 +172,10 @@ class Conv2dLayer:
 class LstmParams:
     """The four gates' weights over the concatenated [h_prev, x_t], and their biases.
 
-    w (4*hidden, hidden+input) and b (4*hidden,) stack the gates in f, i,
-    g, o order; w_f ... b_o are row-block views of them, so a change made
-    in place to either is a change to both. from_gates copies separate
-    gate arrays into a new stack.
+    w (4*hidden, hidden+input) and b (4*hidden,), after any replica axis,
+    stack the gates in f, i, g, o order; w_f ... b_o are row-block views
+    of them, so a change made in place to either is a change to both.
+    from_gates copies separate gate arrays into a new stack.
     """
 
     w: np.ndarray
@@ -187,24 +190,24 @@ class LstmParams:
     b_o: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.w.ndim != 2 or len(self.w) % 4 or self.b.shape != (len(self.w),):
+        if self.w.ndim < 2 or self.w.shape[-2] % 4 or self.b.shape != self.w.shape[:-1]:
             raise ShapeError(
                 f"w must be (4*hidden, hidden+input) and b (4*hidden,), got {self.w.shape} and {self.b.shape}"
             )
         hidden = self.hidden_size
         for k, gate in enumerate("figo"):
             rows = slice(k * hidden, (k + 1) * hidden)
-            setattr(self, f"w_{gate}", self.w[rows])
-            setattr(self, f"b_{gate}", self.b[rows])
+            setattr(self, f"w_{gate}", self.w[..., rows, :])
+            setattr(self, f"b_{gate}", self.b[..., rows])
 
     @classmethod
     def from_gates(cls, w_f, w_i, w_g, w_o, b_f, b_i, b_g, b_o) -> "LstmParams":
         """A new stack holding copies of the eight gate arrays."""
-        return cls(np.concatenate([w_f, w_i, w_g, w_o]), np.concatenate([b_f, b_i, b_g, b_o]))
+        return cls(np.concatenate([w_f, w_i, w_g, w_o], axis=-2), np.concatenate([b_f, b_i, b_g, b_o], axis=-1))
 
     @property
     def hidden_size(self) -> int:
-        return len(self.b) // 4
+        return self.b.shape[-1] // 4
 
 
 @dataclass
@@ -239,16 +242,20 @@ def lstm_step(params: LstmParams, a_t: np.ndarray, prev: LstmState) -> LstmState
         raise ShapeError(f"a_t must be (B, {4 * hidden}), got {a_t.shape}")
     if prev.h.shape[0] != a_t.shape[0]:
         raise ShapeError(f"batch mismatch: h has {prev.h.shape[0]} rows, a_t {a_t.shape[0]}")
+    return LstmState(*_lstm_cell(params.w[:, :hidden], a_t, prev.h, prev.c))
 
-    a = a_t + prev.h @ params.w[:, :hidden].T
-    f_i = sigmoid(a[:, : 2 * hidden])  # f and i are side by side
-    f, i = f_i[:, :hidden], f_i[:, hidden:]
-    o = sigmoid(a[:, 3 * hidden :])
-    z = np.tanh(a[:, 2 * hidden : 3 * hidden])
-    c = f * prev.c + i * z
+
+def _lstm_cell(w_h: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """lstm_step's gate math, over any leading axes: (h, c, f, i, z, o, tanh_c) from W_h (..., 4H, H)."""
+    hidden = w_h.shape[-1]
+    a = a_t + h_prev @ w_h.swapaxes(-1, -2)
+    f_i = sigmoid(a[..., : 2 * hidden])  # f and i are side by side
+    f, i = f_i[..., :hidden], f_i[..., hidden:]
+    o = sigmoid(a[..., 3 * hidden :])
+    z = np.tanh(a[..., 2 * hidden : 3 * hidden])
+    c = f * c_prev + i * z
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return LstmState(h=h, c=c, f=f, i=i, z=z, o=o, tanh_c=tanh_c)
+    return o * tanh_c, c, f, i, z, o, tanh_c
 
 
 def lstm_forward(params: LstmParams, a_x: np.ndarray):
@@ -303,12 +310,12 @@ def lstm_backward(params: LstmParams, states: list[LstmState], grad_h_seq: np.nd
     return da, da.T @ h_prev, da.sum(axis=0)
 
 
-def dense_forward(w: np.ndarray, b: float, x: np.ndarray):
-    """Scalar head w.x + b over a batch; returns ((B,), cache)."""
+def dense_forward(w: np.ndarray, b, x: np.ndarray):
+    """Scalar head w.x + b over a batch x (..., B, K), any leading axes on w and b too; returns ((..., B), cache)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense input must be (B, {w.shape[0]}), got {x.shape}")
-    return x @ w + b, x
+    if x.ndim < 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"dense input must be (B, {w.shape[-1]}), got {x.shape}")
+    return (x @ w[..., None])[..., 0] + np.asarray(b)[..., None], x
 
 
 def dense_backward(w: np.ndarray, cache: np.ndarray, grad_out: np.ndarray):
@@ -462,11 +469,13 @@ class ForecastModel:
         self._taps = [(1, 0), (0, -config.dilation), (2, config.dilation)] if self._uses_conv else [(0, 0)]
 
         expected = self._block_shapes()
+        self.replicas = ()  # or (S,): the replica axis that leads every block, read by predict alone
         if params is None:
             params = self._init_params(expected)
         else:
             got = {k: np.shape(p) for k, p in params.items()}
-            want = {k: tuple(s) for k, s in expected.items()}
+            self.replicas = got.get("dense_b", ())[:1]  # dense_b is 0-d without the axis
+            want = {k: self.replicas + tuple(s) for k, s in expected.items()}
             if got != want:
                 raise ShapeError(f"parameter blocks {got} do not match expected {want}")
         self.params = dict(params)
@@ -511,6 +520,10 @@ class ForecastModel:
             params[name] = np.asarray(params[name], dtype=np.float64).reshape(shape)
         return params
 
+    def _require_single(self, what: str) -> None:
+        if self.replicas:
+            raise ShapeError(f"{what} needs a model without a replica axis, got {self.replicas[0]} replicas")
+
     def _check_windows(self, windows: np.ndarray) -> np.ndarray:
         w = np.asarray(windows, dtype=np.float64)
         if w.ndim == 2:
@@ -525,17 +538,19 @@ class ForecastModel:
         """out[t] = sum_u rows[t + offset_u] @ weights[u], rows (T*B, K) in (t, b) order; reverse negates offset_u.
 
         One tall GEMM per block, centre first, over the steps whose shifted row is inside the window.
+        weights (..., U, K, N) and out (..., T*B, N) may lead with the replica axis.
         """
         (u, _), *sides = self._taps
-        out, batch = rows @ weights[u], len(rows) // t_steps
+        out, batch = rows @ weights[..., u, :, :], len(rows) // t_steps
         for u, offset in sides:
             dst, src = _overlap(t_steps, -offset if reverse else offset, batch)
-            out[dst] += rows[src] @ weights[u]
+            out[..., dst, :] += rows[src] @ weights[..., u, :, :]
         return out
 
     def _kernel_and_bias(self) -> np.ndarray:
-        """[kernel | conv_bias] (C, 10): the bias is a tenth tap, one that reads a constant 1."""
-        return np.column_stack([self.params["conv_kernel"].reshape(-1, KERNEL_SIZE**2), self.params["conv_bias"]])
+        """[kernel | conv_bias] (..., C, 10): the bias is a tenth tap, one that reads a constant 1."""
+        bias = self.params["conv_bias"]
+        return np.concatenate([self.params["conv_kernel"].reshape(*bias.shape, -1), bias[..., None]], axis=-1)
 
     def _input_weights(self, w_x: np.ndarray):
         """(E, e0): the weights w_x applied to the conv output, as blocks E[u] (G, F) for _taps.
@@ -545,28 +560,37 @@ class ForecastModel:
         conv_bias].T @ w_x[g] (G, 10, F), then E[u, g, f] = sum_v taps[g,
         3u+v, f + (1-v)d] over the columns inside the window (3, G, F), and
         e0[g] = taps[g, 9].sum(). No W_x-sized array is copied or transposed.
+        The replica axis, if any, leads w_x, E and e0.
         """
         if not self._uses_conv:
-            return w_x[None], 0.0
-        d, f, n_gates = self.config.dilation, self.n_features, len(w_x)
-        taps = np.matmul(self._kernel_and_bias().T, w_x)
-        per_tap = taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f).transpose(1, 0, 2, 3)  # (u, g, v, f)
-        e = np.zeros((KERNEL_SIZE, n_gates, f))
+            return w_x[..., None, :, :], 0.0
+        d, f, n_gates = self.config.dilation, self.n_features, w_x.shape[-3]
+        taps = np.matmul(self._kernel_and_bias().swapaxes(-1, -2)[..., None, :, :], w_x)
+        per_tap = taps[..., :-1, :].reshape(*taps.shape[:-2], KERNEL_SIZE, KERNEL_SIZE, f)
+        per_tap = per_tap.swapaxes(-4, -3)  # (u, g, v, f)
+        e = np.zeros((*taps.shape[:-3], KERNEL_SIZE, n_gates, f))
         for v in range(KERNEL_SIZE):
             cols, src = _overlap(f, (1 - v) * d)
-            e[:, :, cols] += per_tap[:, :, v, src]
-        return e, taps[:, -1].sum(axis=1)
+            e[..., cols] += per_tap[..., v, src]
+        return e, taps[..., -1, :].sum(axis=-1)
 
     def _weights_after_conv(self) -> np.ndarray:
         """The weights that read the conv output (or, for lstm, the window), as _input_weights takes them."""
         t_steps, f = self.config.window, self.n_features
         if not self._uses_lstm:  # dense_w over the (C, T, F) conv output, as one (C, F) block of weights per step
-            return self.params["dense_w"].reshape(-1, t_steps, f).transpose(1, 0, 2)
-        w_x = self.lstm.w[:, self.config.hidden_size :]
-        return w_x.reshape(len(w_x), -1, f) if self._uses_conv else w_x
+            w = self.params["dense_w"]
+            return w.reshape(*w.shape[:-1], -1, t_steps, f).swapaxes(-3, -2)
+        w_x = self.lstm.w[..., self.config.hidden_size :]
+        return w_x.reshape(*w_x.shape[:-1], -1, f) if self._uses_conv else w_x
+
+    def _cnn_head(self, a_x: np.ndarray, e0, t_steps: int) -> np.ndarray:
+        """cnn's predictions (..., B) from _tap_products: of its G = T weight rows, step t's rows meet only row t."""
+        step_sums = np.einsum("...tbt->...b", a_x.reshape(*a_x.shape[:-2], t_steps, -1, t_steps))
+        return step_sums + (e0.sum(axis=-1) + self.params["dense_b"])[..., None]
 
     def forward(self, windows: np.ndarray):
         """Predictions (B,) for a batch of standardized windows, plus the cache backward reads."""
+        self._require_single("forward")
         x = self._check_windows(windows)
         b, t_steps, f = x.shape
         rows = x.transpose(1, 0, 2).reshape(t_steps * b, f)  # time-major: (t, b) order
@@ -574,9 +598,8 @@ class ForecastModel:
         e, e0 = self._input_weights(w_x)
         cache = {"shape": x.shape, "rows": rows, "e": e, "w_x": w_x}
         a_x = self._tap_products(rows, e.transpose(0, 2, 1), t_steps)
-        if not self._uses_lstm:  # cnn's G = T weight rows: step t's rows count only against row t
-            step_sums = np.einsum("tbt->b", a_x.reshape(t_steps, b, t_steps))
-            return step_sums + (e0.sum() + float(self.params["dense_b"])), cache
+        if not self._uses_lstm:
+            return self._cnn_head(a_x, e0, t_steps), cache
         a_x += self.lstm.b + e0
         states, head_in = lstm_forward(self.lstm, a_x.reshape(t_steps, b, -1))
         cache["states"] = states
@@ -589,6 +612,7 @@ class ForecastModel:
         Training reads only the parameter gradients; the window gradient
         costs one more GEMM per block of E.
         """
+        self._require_single("backward")
         b, t_steps, f = cache["shape"]
         hidden, grads = self.config.hidden_size, {}
         if self._uses_lstm:
@@ -655,26 +679,29 @@ class ForecastModel:
 
         The LSTM variants take step t's input side alone, sum_u x[:, t +
         offset_u] @ E[u].T + b + e0 in forward's order on views of the
-        window, and hand lstm_step a state of only (h, c); no backward
-        follows, so forward's rows, pre-activations and gate activations are
-        never held. cnn has no recurrent state and predicts through forward.
+        window, and run lstm_step's gate math (_lstm_cell) on a state of
+        only (h, c); no backward follows, so forward's rows, pre-activations
+        and gate activations are never held. cnn runs forward's _cnn_head.
+        With a replica axis S leading every block, predict returns (S, B):
+        row s is model s's predict, bit for bit, through broadcast matmuls.
         """
-        if not self._uses_lstm:
-            return self.forward(windows)[0]
         x = self._check_windows(windows)
         e, e0 = self._input_weights(self._weights_after_conv())
-        bias = self.lstm.b + e0
+        if not self._uses_lstm:
+            rows = x.transpose(1, 0, 2).reshape(-1, x.shape[2])  # time-major, as forward's
+            return self._cnn_head(self._tap_products(rows, e.swapaxes(-1, -2), x.shape[1]), e0, x.shape[1])
+        bias = (self.lstm.b + e0)[..., None, :]
+        w_h = self.lstm.w[..., : self.config.hidden_size]
         (centre, _), *sides = self._taps
-        state = lstm_zero_state(self.lstm, len(x))
+        h = c = np.zeros((*self.replicas, len(x), self.config.hidden_size))
         for t in range(x.shape[1]):
-            a_t = x[:, t] @ e[centre].T
+            a_t = x[:, t] @ e[..., centre, :, :].swapaxes(-1, -2)
             for u, offset in sides:
                 if 0 <= t + offset < x.shape[1]:
-                    a_t += x[:, t + offset] @ e[u].T
+                    a_t += x[:, t + offset] @ e[..., u, :, :].swapaxes(-1, -2)
             a_t += bias
-            state = lstm_step(self.lstm, a_t, state)
-            state.f = state.i = state.z = state.o = state.tanh_c = None
-        return dense_forward(self.params["dense_w"], float(self.params["dense_b"]), state.h)[0]
+            h, c = _lstm_cell(w_h, a_t, h, c)[:2]
+        return dense_forward(self.params["dense_w"], self.params["dense_b"], h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +744,7 @@ def decode_array(enc: EncodedArray, where: str) -> np.ndarray:
 
 
 def model_to_dict(model: ForecastModel) -> dict:
+    model._require_single("model_to_dict")
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -738,6 +766,8 @@ def model_from_dict(d: dict) -> ForecastModel:
     if n_features < 1:
         raise DataError(f"checkpoint.n_features: expected >= 1, got {n_features}")
     try:
-        return ForecastModel(config, n_features, params=arrays)
+        model = ForecastModel(config, n_features, params=arrays)
+        model._require_single("a checkpoint")
     except ShapeError as exc:
         raise DataError(f"checkpoint.params: {exc}") from exc
+    return model

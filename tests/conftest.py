@@ -24,15 +24,15 @@ def rng():
 
 @pytest.fixture
 def offset_gradient(monkeypatch):
-    """offset_gradient(block) makes the dilated_cnn_lstm backward pass return block's gradient off by 0.5."""
+    """offset_gradient(block, by=0.5, variant="dilated_cnn_lstm") makes variant's backward pass return block's gradient plus by."""
 
-    def offset(block: str) -> None:
+    def offset(block: str, by: float = 0.5, variant: str = "dilated_cnn_lstm") -> None:
         backward = ForecastModel.backward
 
         def offset_backward(self, cache, grad_preds, window_grad=False):
             grads, grad_windows = backward(self, cache, grad_preds, window_grad)
-            if self.config.variant == "dilated_cnn_lstm":
-                grads[block] = grads[block] + 0.5
+            if self.config.variant == variant:
+                grads[block] = grads[block] + by
             return grads, grad_windows
 
         monkeypatch.setattr(ForecastModel, "backward", offset_backward)

@@ -54,6 +54,7 @@ def test_c1_gradient_correctness():
             assert f"dilated_cnn_lstm/{block}" in names, f"missing block {block}"
         worst = max(c.max_rel_error for c in checks)
         assert worst <= 1e-4, f"worst gradient error {worst:.3e}"
+        assert all(c.passed for c in checks), [c.block for c in checks if not c.passed]
         assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 

@@ -359,6 +359,16 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seed", "0") == 3
         assert "W_i" in capsys.readouterr().err
 
+    def test_nan_gradient_is_the_worst(self, capsys, offset_gradient):
+        """A NaN gradient entry fails its block and sets the summary's worst error to inf."""
+        offset_gradient("W_f", by=np.nan, variant="lstm")
+        assert run("gradcheck", "--seed", "0") == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split()[1:] for line in lines if line.startswith("lstm/W_f ")] == [["inf", "FAIL"]]
+        assert lines[-1].startswith("worst relative error inf over 42 blocks")
+        assert captured.err == "failing blocks: lstm/W_f\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridcast import neural
-from hybridcast.errors import ParameterError, ShapeError
+from hybridcast.errors import DataError, ParameterError, ShapeError
 from hybridcast.neural import (
     Conv2dLayer,
     ForecastModel,
@@ -737,6 +737,44 @@ class TestForecastModel:
         assert not np.array_equal(after, before)
         rebuilt = ForecastModel(tiny_config(variant), 4, params={k: p.copy() for k, p in model.params.items()})
         assert np.array_equal(rebuilt.predict(x), after)
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("variant", neural.VARIANTS)
+    def test_stacked_predict_is_per_replica_predict(self, variant, replicas, rng):
+        """A model whose blocks lead with a replica axis predicts (S, B): row s is model s's predict, bit for bit."""
+        models = [ForecastModel(tiny_config(variant, seed=20 + s), n_features=4) for s in range(replicas)]
+        stacked = ForecastModel(tiny_config(variant), 4, params={k: np.stack([m.params[k] for m in models])
+                                                                 for k in models[0].params})
+        x = rng.standard_normal((6, 5, 4))
+        preds = stacked.predict(x)
+        assert stacked.replicas == (replicas,) and preds.shape == (replicas, 6)
+        for row, model in zip(preds, models):
+            assert row.tobytes() == model.predict(x).tobytes()
+
+    @pytest.mark.parametrize("variant", neural.VARIANTS)
+    def test_only_predict_reads_the_replica_axis(self, variant, rng):
+        """forward, backward and checkpoints reject a stacked model; a stacked checkpoint is a data error."""
+        model = ForecastModel(tiny_config(variant), n_features=4)
+        stacked = ForecastModel(tiny_config(variant), 4, params={k: np.stack([p, p]) for k, p in model.params.items()})
+        x = rng.standard_normal((6, 5, 4))
+        _, cache = model.forward(x)
+        with pytest.raises(ShapeError):
+            stacked.forward(x)
+        with pytest.raises(ShapeError):
+            stacked.backward(cache, np.ones(6))
+        with pytest.raises(ShapeError):
+            neural.model_to_dict(stacked)
+        blob = neural.model_to_dict(model)
+        blob["params"] = {k: neural.encode_array(np.stack([p, p])) for k, p in model.params.items()}
+        with pytest.raises(DataError, match="checkpoint.params"):
+            neural.model_from_dict(blob)
+
+    def test_replica_axis_must_lead_every_block(self):
+        model = ForecastModel(tiny_config("cnn_lstm"), n_features=4)
+        params = {k: np.stack([p, p]) for k, p in model.params.items()}
+        params["W_g"] = model.params["W_g"]
+        with pytest.raises(ShapeError):
+            ForecastModel(tiny_config("cnn_lstm"), 4, params=params)
 
     @pytest.mark.parametrize("variant", neural.VARIANTS)
     def test_checkpoint_roundtrip_bit_exact(self, variant, tmp_path):

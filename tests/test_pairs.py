@@ -1,6 +1,7 @@
 """tools/pairs.py writes its report and then fails loudly on any broken benchmark run."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ def fake_bench(broken: tuple):
         failed = int((root.name, seed) in broken)
         result = {"correct": not failed, "attempted": 3, "failed": failed,
                   "metrics": {"task_s": {"value": 1.0 + 0.1 * seed}}}
-        return {"cores": 2}, result
+        figures = {"gradcheck_s": 0.1 * seed + (root.name == "parent"), "sessions": seed, "flag": True, "n": "x"}
+        return {"cores": 2}, figures, result
 
     return bench
 
@@ -44,9 +46,27 @@ def test_broken_runs_are_printed_and_fail(pairs, tmp_path, monkeypatch, capsys, 
     assert pairs.main(argv) == (1 if broken else 0)
     report = json.loads(out.read_text())
     assert report["seeds"] == [first_seed, first_seed + 1]
+    figures = report["workloads"]["train-dilated"]["figures"]
+    assert set(figures) == {"gradcheck_s", "sessions"}  # numeric figures only
+    s0 = first_seed
+    assert figures["gradcheck_s"]["parent"]["values"] == [0.1 * s0 + 1, 0.1 * (s0 + 1) + 1]
+    assert figures["gradcheck_s"]["change"]["median"] == pytest.approx(0.1 * s0 + 0.05)
     runs = report["workloads"]["train-dilated"]["runs"]
     assert [r["failed"] for r in runs["change"]] == [0, len(broken)]
     err = capsys.readouterr().err
     line = f"train-dilated seed {first_seed + 1} change: correct False, 1 of 3 checks failed"
     assert (line in err) == bool(broken)
     assert err.count("correct False") == len(broken)
+
+
+def test_bench_reads_the_machine_figures_and_result_lines(pairs, monkeypatch, tmp_path):
+    stdout = "\n".join([
+        'machine: {"cores": 2}',
+        'figures (csv-session, seed 3, raw seconds): {"gradcheck_s": 0.02, "sessions": 4}',
+        '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}',
+    ]) + "\n"
+    monkeypatch.setattr(pairs.subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(cmd, 0, stdout=stdout))
+    machine, figures, result = pairs.bench(tmp_path, "csv-session", 3, 30)
+    assert machine == {"cores": 2}
+    assert figures == {"gradcheck_s": 0.02, "sessions": 4}
+    assert result["correct"] is True

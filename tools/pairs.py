@@ -11,7 +11,9 @@ the change was written) it runs ``perfbench/run.py --workload W --seed S
 on even ones, for the ``run_seconds`` of the change's ``BENCHMARK.json``.
 The output holds the seeds and the machine info; per metric, both sides'
 median, Q1, Q3 and every value,
-and the number of pairs in which the change is lower (better); every
+and the number of pairs in which the change is lower (better); per
+numeric value of the run's ``figures (...)`` line (raw seconds per
+command, counts), both sides' median and every value; every
 run's correctness; and the ``src/`` line count of both checkouts. For
 each workload and metric it prints one summary line: both medians, the
 change's median against the parent's in %, and the pairs the change won.
@@ -28,7 +30,8 @@ import sys
 from pathlib import Path
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict]:
+    """(machine info, figures, result) of one perfbench run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -37,7 +40,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
         print(f"{' '.join(cmd)} in {root} exited {exc.returncode}:\n{exc.stderr}", file=sys.stderr, end="")
         raise
     machine = json.loads(next(line for line in out if line.startswith("machine: "))[len("machine: "):])
-    return machine, json.loads(out[-1])
+    figures = json.loads(next(line for line in out if line.startswith("figures (")).split(": ", 1)[1])
+    return machine, figures, json.loads(out[-1])
 
 
 def src_lines(root: Path) -> int:
@@ -47,6 +51,16 @@ def src_lines(root: Path) -> int:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def figure_summaries(figures: dict) -> dict:
+    """Per numeric figure that every run of both sides reports: each side's median and values."""
+    out = {}
+    for name, value in figures["change"][0].items():
+        values = {side: [f.get(name) for f in fs] for side, fs in figures.items()}
+        if type(value) in (int, float) and all(type(v) in (int, float) for vs in values.values() for v in vs):
+            out[name] = {side: {"median": statistics.median(vs), "values": vs} for side, vs in values.items()}
+    return out
 
 
 def summary_line(workload: str, name: str, metric: dict, pairs: int) -> str:
@@ -73,11 +87,12 @@ def main(argv=None) -> int:
     report = {"run_seconds": seconds, "pairs": args.pairs, "seeds": seeds, "workloads": {},
               "src_lines": {side: src_lines(root) for side, root in sides.items()}}
     for workload in args.workload:
-        runs = {"parent": [], "change": []}
+        runs, figures = {"parent": [], "change": []}, {"parent": [], "change": []}
         for seed in seeds:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                report["machine"], result = bench(sides[side], workload, seed, seconds)
+                report["machine"], figs, result = bench(sides[side], workload, seed, seconds)
                 runs[side].append(result)
+                figures[side].append(figs)
                 print(f"{workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
         metrics = {}
         for name in runs["parent"][0]["metrics"]:
@@ -90,6 +105,7 @@ def main(argv=None) -> int:
             print(summary_line(workload, name, metrics[name], args.pairs), flush=True)
         report["workloads"][workload] = {
             "metrics": metrics,
+            "figures": figure_summaries(figures),
             "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
                      for side, rs in runs.items()},
         }
