@@ -13,10 +13,10 @@ import sys
 import time
 
 from . import gradcheck as gradcheck_mod
-from . import neural, pipeline, synth
+from . import pipeline, synth
 from .config import ExperimentConfig, load_experiment_config, load_panel
 from .errors import ConfigError, DataError, HybridcastError, NumericalError
-from .jsonio import atomic_write_text, from_json, read_json, write_json
+from .jsonio import atomic_write_text, read_json, write_json
 from .regsel import SelectionReport
 
 EXIT_OK = 0
@@ -132,38 +132,6 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_dict(result: pipeline.TrainResult, frame, train_fraction: float) -> dict:
-    d = neural.model_to_dict(result.model)
-    d["scaler"] = result.scaler
-    d["feature_names"] = list(result.feature_names)
-    d["target_name"] = frame.target_name
-    d["train_fraction"] = train_fraction
-    d["train_span_sha256"] = pipeline.training_span_sha256(
-        frame, result.feature_names, result.model.config.window, train_fraction
-    )
-    return d
-
-
-def _check_training_span(ckpt: dict, frame, names: list[str], window: int, train_fraction: float) -> None:
-    """DataError unless the panel and train_fraction give the checkpoint's target and training span."""
-    missing = [k for k in ("target_name", "train_fraction", "train_span_sha256") if k not in ckpt]
-    if missing:
-        raise DataError(f"checkpoint records no {' or '.join(missing)}; retrain it to evaluate it")
-    target = from_json(str, ckpt["target_name"], "checkpoint.target_name", DataError)
-    if target != frame.target_name:
-        raise DataError(f"the panel's target {frame.target_name!r} differs from the checkpoint's {target!r}")
-    recorded = from_json(float, ckpt["train_fraction"], "checkpoint.train_fraction", DataError)
-    if recorded != train_fraction:
-        raise DataError(f"train_fraction {train_fraction} differs from the checkpoint's {recorded}")
-    expected = from_json(str, ckpt["train_span_sha256"], "checkpoint.train_span_sha256", DataError)
-    digest = pipeline.training_span_sha256(frame, names, window, train_fraction)
-    if digest != expected:
-        raise DataError(
-            "the panel's training-span rows differ from those the checkpoint was trained on "
-            f"(SHA-256 {digest[:12]}... against {expected[:12]}...)"
-        )
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
@@ -190,11 +158,11 @@ def cmd_train(args) -> int:
     )
     runtime = time.perf_counter() - t0
 
-    write_json(os.path.join(out, "checkpoint.json"), _checkpoint_dict(result, frame, config.train_fraction))
+    write_json(os.path.join(out, "checkpoint.json"), pipeline.make_checkpoint(result, frame, config.train_fraction))
     write_json(
         os.path.join(out, "train_metrics.json"),
         dataclasses.asdict(result.metrics) | {
-            "n_features": len(result.feature_names) - 1,
+            "n_features": len(result.scaler.names) - 1,
             "epochs": config.model.epochs,
             "history": list(result.history),
             "final_train_loss": result.history[-1] if result.history else None,
@@ -212,18 +180,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
-    ckpt = read_json(args.checkpoint or os.path.join(out, "checkpoint.json"), "checkpoint", DataError)
-    model = neural.model_from_dict(ckpt)
-    scaler = from_json(pipeline.StandardScaler, ckpt.get("scaler"), "checkpoint.scaler", DataError)
-    feature_names = from_json(list[str], ckpt.get("feature_names"), "checkpoint.feature_names", DataError)
-    if scaler.names != feature_names:
-        raise DataError(f"checkpoint.scaler.names {scaler.names} differ from checkpoint.feature_names {feature_names}")
-
+    raw = read_json(args.checkpoint or os.path.join(out, "checkpoint.json"), "checkpoint", DataError)
     frame, _ = load_panel(config.data)
-    split = pipeline.prepare_split(
-        frame, feature_names, model.config.window, config.train_fraction, scaler
-    )
-    _check_training_span(ckpt, frame, feature_names, model.config.window, config.train_fraction)
+    model, split = pipeline.load_checkpoint(raw, frame, config.train_fraction)
     row, preds = pipeline.score_forecasts(model, split, frame.target_name)
     _, _, test_b = split
     write_json(os.path.join(out, "eval_metrics.json"), row)

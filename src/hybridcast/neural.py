@@ -14,7 +14,9 @@ rows of C*F weights, one per step), so the two are one linear map of the
 window, composed once per forward (ForecastModel._input_weights) into one
 block per kernel row that skips the zero padding. An activation after the
 conv would break this. Conv2dLayer is the unfolded conv the tests check
-the fold against. Checkpoints keep the unfolded blocks.
+the fold against. Checkpoints keep the unfolded blocks: model_to_dict and
+model_from_dict encode and decode them, and pipeline.Checkpoint, the
+checkpoint document, holds them beside the config and the scaler.
 
 The LSTM weights live in one (4H, H+I) gate stack and one (4H,) bias
 stack (LstmParams); the W_f ... b_o parameter blocks are row-block views
@@ -39,12 +41,11 @@ gradcheck).
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .jsonio import from_json
 from .numcore import Rng
 
 VARIANTS = ("cnn", "lstm", "cnn_lstm", "dilated_cnn_lstm")
@@ -397,7 +398,7 @@ def adam_step(
 
 @dataclass
 class ModelConfig:
-    """Architecture variant plus training hyperparameters."""
+    """Architecture variant plus training hyperparameters; Adam keeps adam_step's default betas and eps."""
 
     variant: str = "dilated_cnn_lstm"
     dilation: int | None = None
@@ -407,11 +408,7 @@ class ModelConfig:
     learning_rate: float = 0.001
     batch_size: int = 64
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    loss: str = "mse"
     init_scheme: str = "uniform"
 
     def __post_init__(self):
@@ -433,8 +430,6 @@ class ModelConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.loss != "mse":
-            raise ParameterError(f"only mse loss is supported, got {self.loss!r}")
         if self.init_scheme not in ("uniform", "zeros"):
             raise ParameterError(f"init_scheme must be 'uniform' or 'zeros', got {self.init_scheme!r}")
 
@@ -705,20 +700,7 @@ class ForecastModel:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint (de)serialization: JSON with base64-encoded little-endian f64
-
-
-CHECKPOINT_VERSION = 1
-
-
-def encode_array(a: np.ndarray) -> dict:
-    shape = list(np.shape(a))  # before ascontiguousarray, which promotes 0-d to 1-d
-    arr = np.ascontiguousarray(a, dtype="<f8")
-    return {
-        "shape": shape,
-        "dtype": "<f8",
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+# parameter blocks as JSON: base64-encoded little-endian f64 (pipeline.Checkpoint holds them)
 
 
 @dataclass
@@ -728,6 +710,12 @@ class EncodedArray:
     shape: list[int]
     dtype: str
     data: str
+
+
+def encode_array(a: np.ndarray) -> EncodedArray:
+    shape = list(np.shape(a))  # before ascontiguousarray, which promotes 0-d to 1-d
+    arr = np.ascontiguousarray(a, dtype="<f8")
+    return EncodedArray(shape, "<f8", base64.b64encode(arr.tobytes()).decode("ascii"))
 
 
 def decode_array(enc: EncodedArray, where: str) -> np.ndarray:
@@ -743,28 +731,15 @@ def decode_array(enc: EncodedArray, where: str) -> np.ndarray:
     return arr
 
 
-def model_to_dict(model: ForecastModel) -> dict:
+def model_to_dict(model: ForecastModel) -> dict[str, EncodedArray]:
+    """The model's parameter blocks, encoded."""
     model._require_single("model_to_dict")
-    return {
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(model.config),
-        "seed": model.config.seed,
-        "n_features": model.n_features,
-        "params": {name: encode_array(p) for name, p in model.params.items()},
-    }
+    return {name: encode_array(p) for name, p in model.params.items()}
 
 
-def model_from_dict(d: dict) -> ForecastModel:
-    """Rebuild a model_to_dict model; a malformed or unsupported checkpoint raises DataError."""
-    version = d.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"checkpoint.format_version: expected {CHECKPOINT_VERSION}, got {version!r}")
-    config = from_json(ModelConfig, d.get("config"), "checkpoint.config", DataError)
-    n_features = from_json(int, d.get("n_features"), "checkpoint.n_features", DataError)
-    params = from_json(dict[str, EncodedArray], d.get("params"), "checkpoint.params", DataError)
+def model_from_dict(config: ModelConfig, n_features: int, params: dict[str, EncodedArray]) -> ForecastModel:
+    """The model of model_to_dict's blocks; a bad block, or one the config and width do not fit, raises DataError."""
     arrays = {name: decode_array(enc, f"checkpoint.params.{name}") for name, enc in params.items()}
-    if n_features < 1:
-        raise DataError(f"checkpoint.n_features: expected >= 1, got {n_features}")
     try:
         model = ForecastModel(config, n_features, params=arrays)
         model._require_single("a checkpoint")

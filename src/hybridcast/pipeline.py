@@ -18,7 +18,7 @@ from datetime import date
 
 import numpy as np
 
-from . import regsel
+from . import neural, regsel
 from .errors import (
     CoverageError,
     CsvFormatError,
@@ -33,8 +33,8 @@ from .errors import (
     ScalingError,
     ShapeError,
 )
-from .jsonio import atomic_write_text, csv_text
-from .neural import ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
+from .jsonio import atomic_write_text, csv_text, from_json
+from .neural import EncodedArray, ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
 from .regsel import SelectionReport
 
 # (label, variant, which selection feeds it)
@@ -109,10 +109,12 @@ class TimeSeriesFrame:
         return np.column_stack([self.columns[n] for n in names])
 
     def subframe(self, names: list[str]) -> "TimeSeriesFrame":
-        """The named columns; the one check that a selection or checkpoint fits this panel."""
+        """The named columns, the target among them; the one check that a selection or checkpoint fits this panel."""
         missing = [n for n in names if n not in self.columns]
         if missing:
             raise DataError(f"columns {missing} are not in the panel")
+        if self.target_name not in names:
+            raise DataError(f"the columns lack the panel's target {self.target_name!r}")
         return TimeSeriesFrame(
             dates=list(self.dates),
             columns={n: self.columns[n].copy() for n in names},
@@ -518,7 +520,6 @@ class MetricsReport:
 class TrainResult:
     model: ForecastModel
     scaler: StandardScaler
-    feature_names: list[str]
     history: list[float]
     metrics: MetricsRow
     dates: list[date]
@@ -557,7 +558,7 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
                     f"training diverged at epoch {epoch}, batch {batch}", epoch=epoch, batch=batch
                 )
             grads, _ = model.backward(cache, grad)
-            adam_step(state, model.params, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(state, model.params, grads, cfg.learning_rate)
             total += loss * len(idx)
         history.append(total / n)
     return history
@@ -593,7 +594,6 @@ def fit_and_score(config: ModelConfig, split, target_name: str, label: str | Non
     return TrainResult(
         model=model,
         scaler=scaler,
-        feature_names=list(scaler.names),
         history=history,
         metrics=row,
         dates=list(test_b.target_dates),
@@ -665,6 +665,59 @@ def compare_variants(
     return MetricsReport(
         rows=rows, per_seed=per_seed, seeds=list(seeds), dilated_vs_plain_win_rate=wins / len(seeds)
     )
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+
+CHECKPOINT_VERSION = 2
+
+
+@dataclass
+class Checkpoint:
+    """The checkpoint document. scaler.names are the model's input columns in order, the target first,
+    so the model's width is len(scaler.names) and no other field can disagree with it."""
+
+    format_version: int
+    config: ModelConfig
+    params: dict[str, EncodedArray]
+    scaler: StandardScaler
+    target_name: str
+    train_fraction: float
+    train_span_sha256: str
+
+
+def make_checkpoint(result: TrainResult, frame: TimeSeriesFrame, train_fraction: float) -> Checkpoint:
+    """The checkpoint of a train_model result on this panel and train_fraction."""
+    config = result.model.config
+    span = training_span_sha256(frame, result.scaler.names, config.window, train_fraction)
+    params = neural.model_to_dict(result.model)
+    return Checkpoint(CHECKPOINT_VERSION, config, params, result.scaler, frame.target_name, train_fraction, span)
+
+
+def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
+    """The model of a make_checkpoint document, and its prepare_split of this panel.
+
+    A malformed document, or one of another version, raises DataError naming its key; so does a panel
+    or train_fraction that does not give the checkpoint's target and training span, naming what differs.
+    """
+    version = raw.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"checkpoint.format_version: expected {CHECKPOINT_VERSION}, got {version!r}")
+    ckpt = from_json(Checkpoint, raw, "checkpoint", DataError)
+    if ckpt.target_name != frame.target_name:
+        raise DataError(f"the panel's target {frame.target_name!r} differs from the checkpoint's {ckpt.target_name!r}")
+    if ckpt.train_fraction != train_fraction:
+        raise DataError(f"train_fraction {train_fraction} differs from the checkpoint's {ckpt.train_fraction}")
+    names, window = ckpt.scaler.names, ckpt.config.window
+    split = prepare_split(frame, names, window, train_fraction, ckpt.scaler)
+    model = neural.model_from_dict(ckpt.config, len(names), ckpt.params)
+    digest = training_span_sha256(frame, names, window, train_fraction)
+    if digest != ckpt.train_span_sha256:
+        raise DataError("the panel's training-span rows differ from those the checkpoint was trained on "
+                        f"(SHA-256 {digest[:12]}... against {ckpt.train_span_sha256[:12]}...)")
+    return model, split
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -203,6 +204,28 @@ class TestTrainEvaluateCommands:
         assert named in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
 
+    def test_evaluate_checkpoint_wider_than_its_params_is_data_error(self, tiny_config, tmp_path, capsys):
+        """An all-features checkpoint given the scaler of a selection one exits 2 naming checkpoint.params.
+
+        The model's width is the scaler's column count, so the stored blocks cannot fit it.
+        """
+        wide, narrow = str(tmp_path / "wide"), str(tmp_path / "narrow")
+        assert run("train", "--config", tiny_config, "--out", wide, "--all-features") == 0
+        assert run("select", "--config", tiny_config, "--out", narrow) == 0
+        assert run("train", "--config", tiny_config, "--out", narrow) == 0
+        path = os.path.join(wide, "checkpoint.json")
+        ckpt = json.load(open(path))
+        scaler = json.load(open(os.path.join(narrow, "checkpoint.json")))["scaler"]
+        assert len(scaler["names"]) < len(ckpt["scaler"]["names"]) == 54
+        ckpt["scaler"] = scaler
+        with open(path, "w") as fh:
+            json.dump(ckpt, fh)
+        capsys.readouterr()
+        assert run("evaluate", "--config", tiny_config, "--out", wide) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.params" in err and "windows must be" not in err
+        assert not os.path.exists(os.path.join(wide, "eval_metrics.json"))
+
     def test_evaluate_unbound_checkpoint_is_data_error(self, tiny_config, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert run("train", "--config", tiny_config, "--out", out, "--all-features") == 0
@@ -221,7 +244,7 @@ class TestTrainEvaluateCommands:
         assert run("train", "--config", config, "--out", out, "--all-features") == 0
         path = os.path.join(out, "checkpoint.json")
         ckpt = json.load(open(path))
-        ckpt["params"]["dense_b"] = encode_array(np.array(1e308))
+        ckpt["params"]["dense_b"] = dataclasses.asdict(encode_array(np.array(1e308)))
         ckpt["scaler"]["sd"] = [1e10] * len(ckpt["scaler"]["sd"])
         with open(path, "w") as fh:
             json.dump(ckpt, fh)
@@ -391,25 +414,45 @@ class TestUsageErrors:
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 1
 
 
-SCALER_SHORT_MEAN_CHECKPOINT = model_to_dict(ForecastModel(ModelConfig(variant="lstm", hidden_size=1), 1)) | {
-    "feature_names": ["macro_01", "price"],
-    "scaler": {"names": ["macro_01", "price"], "mean": [0.0], "sd": [1.0, 1.0]},
+CHECKPOINT_CONFIG = ModelConfig(variant="lstm", hidden_size=1)
+
+# a well-formed checkpoint of the tiny panel's columns price and macro_01 that fails only its SHA-256 check
+CHECKPOINT = {
+    "format_version": 2,
+    "config": dataclasses.asdict(CHECKPOINT_CONFIG),
+    "params": {k: dataclasses.asdict(v) for k, v in model_to_dict(ForecastModel(CHECKPOINT_CONFIG, 2)).items()},
+    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
+    "target_name": "price",
+    "train_fraction": TINY_CONFIG["train_fraction"],
+    "train_span_sha256": "0" * 64,
 }
 
-NAN_SCALER_MEAN_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
-    "scaler": {"names": ["macro_01", "price"], "mean": [0.0, float("nan")], "sd": [1.0, 1.0]},
+V1_CHECKPOINT = CHECKPOINT | {
+    "format_version": 1,
+    "config": CHECKPOINT["config"] | {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "loss": "mse"},
+    "seed": 0,
+    "n_features": 2,
+    "feature_names": ["price", "macro_01"],
 }
 
-ZERO_SCALER_SD_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
-    "scaler": {"names": ["macro_01", "price"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
+SCALER_SHORT_MEAN_CHECKPOINT = CHECKPOINT | {
+    "scaler": {"names": ["price", "macro_01"], "mean": [0.0], "sd": [1.0, 1.0]},
 }
 
-RENAMED_SCALER_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
-    "scaler": {"names": ["zz", "price"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
+NAN_SCALER_MEAN_CHECKPOINT = CHECKPOINT | {
+    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, float("nan")], "sd": [1.0, 1.0]},
 }
 
-NAN_PARAM_CHECKPOINT = SCALER_SHORT_MEAN_CHECKPOINT | {
-    "params": SCALER_SHORT_MEAN_CHECKPOINT["params"] | {"dense_b": encode_array(np.array(np.nan))},
+ZERO_SCALER_SD_CHECKPOINT = CHECKPOINT | {
+    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
+}
+
+NO_TARGET_CHECKPOINT = CHECKPOINT | {
+    "scaler": {"names": ["macro_02", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
+}
+
+NAN_PARAM_CHECKPOINT = CHECKPOINT | {
+    "params": CHECKPOINT["params"] | {"dense_b": dataclasses.asdict(encode_array(np.array(np.nan)))},
 }
 
 BAD_ROW_SELECTION = {
@@ -440,29 +483,30 @@ FOREIGN_COLUMN_SELECTION = {
         ("config", {"selection": {"alpha": "0.1"}}, 1, "config.selection.alpha"),
         ("config", {"model": 3}, 1, "config.model"),
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
+        ("config", {"model": {"loss": "mse"}}, 1, "config.model.loss"),
         ("rr_selection.json", {}, 2, "rr_selection.penalty"),
         ("rr_selection.json", [1], 2, "rr_selection.json"),
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
         ("rr_selection.json", FOREIGN_COLUMN_SELECTION, 2, "macro_99"),
-        ("checkpoint.json", {"format_version": 1}, 2, "checkpoint.config"),
+        ("checkpoint.json", {"format_version": 2}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
-        ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 3, "params": {}}, 2,
-         "checkpoint.params"),
-        ("checkpoint.json", {"format_version": 1, "config": {}, "n_features": 0, "params": {}}, 2,
-         "checkpoint.n_features"),
+        ("checkpoint.json", CHECKPOINT | {"params": {}}, 2, "checkpoint.params"),
+        ("checkpoint.json", V1_CHECKPOINT, 2, "checkpoint.format_version"),
         ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", NAN_SCALER_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", ZERO_SCALER_SD_CHECKPOINT, 2, "checkpoint.scaler"),
-        ("checkpoint.json", RENAMED_SCALER_CHECKPOINT, 2, "checkpoint.scaler.names"),
+        ("checkpoint.json", NO_TARGET_CHECKPOINT, 2, "lack the panel's target 'price'"),
         ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
+        ("checkpoint.json", CHECKPOINT, 2, "SHA-256"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
-        "config-alpha-string", "config-model-number", "config-unknown-model-key",
+        "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
-        "checkpoint-no-features", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
-        "checkpoint-scaler-zero-sd", "checkpoint-scaler-names-differ", "checkpoint-nan-param",
+        "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
+        "checkpoint-scaler-zero-sd", "checkpoint-lacks-target", "checkpoint-nan-param",
+        "checkpoint-fixture-fails-only-its-sha",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

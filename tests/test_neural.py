@@ -1,5 +1,4 @@
 import ast
-import json
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hybridcast import neural
 from hybridcast.errors import DataError, ParameterError, ShapeError
+from hybridcast.jsonio import from_json, read_json, write_json
 from hybridcast.neural import (
     Conv2dLayer,
     ForecastModel,
@@ -764,10 +764,9 @@ class TestForecastModel:
             stacked.backward(cache, np.ones(6))
         with pytest.raises(ShapeError):
             neural.model_to_dict(stacked)
-        blob = neural.model_to_dict(model)
-        blob["params"] = {k: neural.encode_array(np.stack([p, p])) for k, p in model.params.items()}
+        params = {k: neural.encode_array(np.stack([p, p])) for k, p in model.params.items()}
         with pytest.raises(DataError, match="checkpoint.params"):
-            neural.model_from_dict(blob)
+            neural.model_from_dict(model.config, 4, params)
 
     def test_replica_axis_must_lead_every_block(self):
         model = ForecastModel(tiny_config("cnn_lstm"), n_features=4)
@@ -778,13 +777,16 @@ class TestForecastModel:
 
     @pytest.mark.parametrize("variant", neural.VARIANTS)
     def test_checkpoint_roundtrip_bit_exact(self, variant, tmp_path):
-        """A checkpoint of a model after an Adam step predicts what the model does, bit for bit."""
+        """A model's config and encoded blocks, after an Adam step, predict through JSON what the model does, bit for bit."""
         model = ForecastModel(tiny_config(variant), n_features=3)
         preds, cache = model.forward(Rng(6).normal(4 * 5 * 3).reshape(4, 5, 3))
         grads, _ = model.backward(cache, mse_loss(preds, np.ones(4))[1])
         adam_step(adam_init(model.params), model.params, grads, lr=0.01)
-        blob = json.dumps(neural.model_to_dict(model))
-        again = neural.model_from_dict(json.loads(blob))
+        write_json(tmp_path / "m.json", {"config": model.config, "params": neural.model_to_dict(model)})
+        raw = read_json(tmp_path / "m.json", "checkpoint", DataError)
+        config = from_json(ModelConfig, raw["config"], "checkpoint.config", DataError)
+        params = from_json(dict[str, neural.EncodedArray], raw["params"], "checkpoint.params", DataError)
+        again = neural.model_from_dict(config, 3, params)
         assert again.config == model.config
         for name in model.params:
             assert np.array_equal(again.params[name], model.params[name]), name

@@ -60,3 +60,5 @@ def test_traced_session_runs_every_hook(tmp_path):
     assert rec.calls["neural.ForecastModel.forward"] > 0
     assert rec.calls["neural.Conv2dLayer.forward"] == 0
     assert rec.counters["neural.lstm.gflop_computed"] > 0
+    assert rec.calls["neural.model_to_dict"] > 0  # pipeline must call them through the neural module
+    assert rec.calls["neural.model_from_dict"] > 0

@@ -9,6 +9,7 @@ from hybridcast import pipeline
 from hybridcast.errors import (
     CoverageError,
     CsvFormatError,
+    DataError,
     DivergenceError,
     DuplicateDateError,
     InsufficientDataError,
@@ -18,7 +19,8 @@ from hybridcast.errors import (
     ParameterError,
     ScalingError,
 )
-from hybridcast.neural import ForecastModel, ModelConfig
+from hybridcast.jsonio import read_json, write_json
+from hybridcast.neural import VARIANTS, ForecastModel, ModelConfig
 from hybridcast.pipeline import (
     SeriesFragment,
     TimeSeriesFrame,
@@ -26,8 +28,11 @@ from hybridcast.pipeline import (
     chrono_split,
     evaluate,
     fit_scaler,
+    load_checkpoint,
     load_csv_series,
+    make_checkpoint,
     make_windows,
+    score_forecasts,
     train_model,
 )
 from hybridcast.regsel import PenaltySpec, SelectionReport, SelectionRow
@@ -484,12 +489,35 @@ class TestTrainModel:
     def test_selection_restricts_features(self, small_panel):
         frame, _ = small_panel
         result = train_model(frame, selection_of(frame, ["macro_01", "fin_02"]), tiny_train_config(epochs=1))
-        assert result.feature_names == ["price", "macro_01", "fin_02"]
+        assert result.scaler.names == ["price", "macro_01", "fin_02"]
 
     def test_empty_selection_rejected(self, small_panel):
         frame, _ = small_panel
         with pytest.raises(ParameterError):
             train_model(frame, selection_of(frame, []), tiny_train_config())
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_roundtrip_predicts_bit_for_bit(self, small_panel, variant, tmp_path):
+        """make_checkpoint -> write_json -> load_checkpoint rebuilds the trained model and its split:
+        the same config, parameters, scaler and test-span forecasts, bit for bit."""
+        frame, _ = small_panel
+        cfg = tiny_train_config(variant=variant, epochs=2)
+        result = train_model(frame, selection_of(frame, ["macro_01", "fin_02"]), cfg, train_fraction=0.8)
+        write_json(tmp_path / "checkpoint.json", make_checkpoint(result, frame, 0.8))
+        raw = read_json(tmp_path / "checkpoint.json", "checkpoint", DataError)
+        model, split = load_checkpoint(raw, frame, 0.8)
+        assert model.config == result.model.config
+        for name, p in result.model.params.items():
+            assert model.params[name].tobytes() == p.tobytes(), name
+        scaler, _, test_b = split
+        assert scaler.names == result.scaler.names == ["price", "macro_01", "fin_02"]
+        assert scaler.mean.tobytes() == result.scaler.mean.tobytes()
+        assert scaler.sd.tobytes() == result.scaler.sd.tobytes()
+        assert test_b.target_dates == result.dates
+        _, preds = score_forecasts(model, split, frame.target_name)
+        assert preds.tobytes() == result.predictions.tobytes()
 
 
 class TestCompareVariants:
