@@ -16,7 +16,7 @@ from . import gradcheck as gradcheck_mod
 from . import pipeline, synth
 from .config import ExperimentConfig, load_experiment_config, load_panel
 from .errors import ConfigError, DataError, HybridcastError, NumericalError
-from .jsonio import atomic_write_text, read_json, write_json
+from .jsonio import atomic_write_text, from_json, read_json, write_json
 from .regsel import SelectionReport
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _load_selection(path: str) -> SelectionReport:
     raw = read_json(path, "selection file", DataError)
-    return SelectionReport.from_json_dict(raw, where=os.path.splitext(os.path.basename(path))[0])
+    return from_json(SelectionReport, raw, os.path.splitext(os.path.basename(path))[0], DataError)
 
 
 def _override(obj, **flags):
@@ -107,7 +107,7 @@ def _run_selection(config: ExperimentConfig, frame, rr_path: str, scad_path: str
     rr, scad = pipeline.select_panel_features(frame, **dataclasses.asdict(config.selection))
     for report, path in ((rr, rr_path), (scad, scad_path)):
         atomic_write_text(os.path.splitext(path)[0] + ".csv", report.to_csv_text())
-        write_json(path, report.to_json_dict())  # last, so it wins if `path` itself ends in .csv
+        write_json(path, report)  # last, so it wins if `path` itself ends in .csv
     print(f"rr: selected {rr.n_selected} of {len(rr.rows)} features (lambda={rr.penalty.lam:g})")
     print(f"scad: selected {scad.n_selected} of {len(scad.rows)} features (lambda={scad.penalty.lam:g})")
     if scad.n_selected == 0:
@@ -209,9 +209,9 @@ def cmd_compare(args) -> int:
 
     rr_path = args.rr_selection or os.path.join(out, "rr_selection.json")
     scad_path = args.scad_selection or os.path.join(out, "scad_selection.json")
-    if os.path.exists(rr_path) and os.path.exists(scad_path):
+    if args.rr_selection or args.scad_selection or os.path.exists(rr_path) or os.path.exists(scad_path):
         rr, scad = _load_selection(rr_path), _load_selection(scad_path)
-    else:
+    else:  # selection writes only the default files in --out, and only when neither exists
         print("selection files missing; running selection first")
         rr, scad = _run_selection(config, frame, rr_path, scad_path)
 

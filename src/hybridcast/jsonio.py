@@ -6,7 +6,8 @@ inputs reproduces each file byte for byte. JSON reads check every value
 against the type annotations of the dataclass it becomes, and a bad
 document fails with the error class the caller names (ConfigError for
 the config, DataError for artifacts) and the dotted path of the
-offending key.
+offending key. A derived (init=False) dataclass field is written too, and
+a document that states one must agree with what the class derives.
 """
 from __future__ import annotations
 
@@ -104,8 +105,10 @@ def from_json(cls, raw, where: str, error: type[Exception]):
     dict (any object), dict[str, T], date (ISO text) and np.ndarray (a
     list of numbers). A dataclass is built from its fields, recursing
     into those that are dataclasses themselves; fields absent from the
-    document keep their defaults. An unknown, missing or mistyped key,
-    or a value the constructor rejects with ParameterError, raises
+    document keep their defaults. An init=False field is never passed to
+    the constructor; if the document states it, the value must equal what
+    the built object derived. An unknown, missing, mistyped or disagreeing
+    key, or a value the constructor rejects with ParameterError, raises
     `error` naming the dotted path of the key under `where`; a wrong
     type names what the key expects and what it got.
     """
@@ -117,16 +120,21 @@ def from_json(cls, raw, where: str, error: type[Exception]):
         if unknown:
             raise error("unknown key " + ", ".join(f"{where}.{k}" for k in unknown))
         hints = typing.get_type_hints(cls)
-        kwargs = {}
+        values = {}
         for name, f in fields.items():
             if name in raw:
-                kwargs[name] = from_json(hints[name], raw[name], f"{where}.{name}", error)
-            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                values[name] = from_json(hints[name], raw[name], f"{where}.{name}", error)
+            elif f.init and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise error(f"{where}.{name} is missing")
         try:
-            return cls(**kwargs)
+            obj = cls(**{k: v for k, v in values.items() if fields[k].init})
         except ParameterError as exc:
             raise error(f"{where}: {exc}") from exc
+        for name, value in values.items():
+            if not fields[name].init and value != getattr(obj, name):
+                derived = _shown(getattr(obj, name))
+                raise error(f"{where}.{name}: {_shown(value)} disagrees with {derived}, derived from the rest")
+        return obj
 
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if origin is types.UnionType:

@@ -10,6 +10,10 @@ Conventions:
   * sparse objective:     (1/2n) ||y - Xb||^2 + sum p_lam(|b_j|)
 With unit-variance columns the sparse lambda has the usual "max |X'y|/n
 zeroes everything" scaling.
+
+A SelectionReport is a jsonio document whose n_features, n_selected and
+selected_names are derived from its rows (init=False fields); a report
+read back must agree with its rows.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ from scipy.linalg.blas import daxpy
 from scipy.special import stdtr
 
 from . import numcore
-from .errors import DataError, ParameterError, ShapeError, SingularityError
-from .jsonio import csv_text, from_json
+from .errors import ParameterError, ShapeError, SingularityError
+from .jsonio import csv_text
 
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
 
@@ -43,9 +47,6 @@ class PenaltySpec:
             raise ParameterError(f"penalty strength must be >= 0, got {self.lam}")
         if self.kind == "scad" and self.a <= 2:
             raise ParameterError(f"scad shape parameter must be > 2, got {self.a}")
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "lambda": self.lam, "a": self.a if self.kind == "scad" else None}
 
 
 @dataclass
@@ -478,31 +479,20 @@ class SelectionRow:
 
 @dataclass
 class SelectionReport:
-    """Per-feature selection outcome for one penalty, serializable to JSON/CSV."""
+    """Per-feature selection outcome for one penalty: the selection JSON document, with a CSV twin."""
 
     rows: list[SelectionRow]
     penalty: PenaltySpec
     dataset_label: str
     alpha: float | None = None
+    n_features: int = field(init=False)
+    n_selected: int = field(init=False)
+    selected_names: list[str] = field(init=False)
 
-    @property
-    def selected_names(self) -> list[str]:
-        return [r.name for r in self.rows if r.selected]
-
-    @property
-    def n_selected(self) -> int:
-        return sum(1 for r in self.rows if r.selected)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset_label": self.dataset_label,
-            "penalty": self.penalty.to_json_dict(),
-            "alpha": self.alpha,
-            "n_features": len(self.rows),
-            "n_selected": self.n_selected,
-            "selected_names": self.selected_names,
-            "rows": self.rows,  # write_json writes each SelectionRow by its fields
-        }
+    def __post_init__(self):
+        self.n_features = len(self.rows)
+        self.selected_names = [r.name for r in self.rows if r.selected]
+        self.n_selected = len(self.selected_names)
 
     def to_csv_text(self) -> str:
         rows = (
@@ -511,22 +501,6 @@ class SelectionReport:
             for r in self.rows
         )
         return csv_text(["name", "coef", "t", "p", "selected"], rows)
-
-    @classmethod
-    def from_json_dict(cls, d: dict, where: str = "selection") -> "SelectionReport":
-        """Inverse of to_json_dict; a malformed key raises DataError naming where.key.
-
-        The derived keys (n_features, n_selected, selected_names) are not read back.
-        """
-        pen = from_json(dict, d.get("penalty"), f"{where}.penalty", DataError)
-        lam = from_json(float, pen.get("lambda"), f"{where}.penalty.lambda", DataError)
-        spec = {"kind": pen.get("kind"), "lam": lam, "a": 3.7 if pen.get("a") is None else pen["a"]}
-        return cls(
-            rows=from_json(list[SelectionRow], d.get("rows"), f"{where}.rows", DataError),
-            penalty=from_json(PenaltySpec, spec, f"{where}.penalty", DataError),
-            dataset_label=from_json(str, d.get("dataset_label"), f"{where}.dataset_label", DataError),
-            alpha=from_json(float | None, d.get("alpha"), f"{where}.alpha", DataError),
-        )
 
 
 def select_features(

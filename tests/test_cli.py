@@ -365,6 +365,31 @@ class TestCompareCommand:
         assert os.path.exists(os.path.join(out1, "comparison.txt"))
         assert os.path.exists(os.path.join(out1, "comparison_per_seed.csv"))
 
+    def test_selection_flags_are_only_read(self, tiny_config, tmp_path, capsys, monkeypatch):
+        """A report given by flag is never overwritten; with the other report missing, compare exits 2 naming it."""
+        given = tmp_path / "keep" / "my_rr.json"
+        given.parent.mkdir()
+        given.write_text(json.dumps(SELECTION))
+        before = read_bytes(given)
+        out = str(tmp_path / "b")
+        assert run("compare", "--config", tiny_config, "--out", out, "--rr-selection", str(given)) == 2
+        assert os.path.join(out, "scad_selection.json") in capsys.readouterr().err
+        assert read_bytes(given) == before
+
+        used = []
+        compare_variants = cli.pipeline.compare_variants
+
+        def spy(frame, rr, scad, *rest):
+            used.append((rr.selected_names, scad.selected_names))
+            return compare_variants(frame, rr, scad, *rest)
+
+        monkeypatch.setattr(cli.pipeline, "compare_variants", spy)
+        flags = ["--rr-selection", str(given), "--scad-selection", str(given), "--seeds", "1", "--epochs", "1"]
+        assert run("compare", "--config", tiny_config, "--out", out, *flags) == 0
+        assert used == [(["macro_01", "macro_02"], ["macro_01", "macro_02"])]
+        assert read_bytes(given) == before
+        assert not os.path.exists(os.path.join(out, "rr_selection.json"))
+
     def test_bad_seeds_flag(self, tiny_config, tmp_path):
         assert run("compare", "--config", tiny_config, "--out", str(tmp_path / "o"), "--seeds", "x") == 1
 
@@ -457,19 +482,32 @@ NAN_PARAM_CHECKPOINT = CHECKPOINT | {
 
 BAD_ROW_SELECTION = {
     "dataset_label": "rr",
-    "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
+    "penalty": {"kind": "ridge", "lam": 1.0, "a": 3.7},
     "alpha": 0.05,
     "rows": [{"name": "macro_01", "coef": 0.1, "t": 1.0, "p": 0.5, "selected": "no"}],
 }
 
 FOREIGN_COLUMN_SELECTION = {
     "dataset_label": "rr",
-    "penalty": {"kind": "ridge", "lambda": 1.0, "a": None},
+    "penalty": {"kind": "ridge", "lam": 1.0, "a": 3.7},
     "alpha": 0.05,
     "rows": [
         {"name": "macro_01", "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True},
         {"name": "macro_99", "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True},
     ],
+}
+
+# a well-formed report of the tiny panel that states its derived keys: two of its three rows are selected
+SELECTION = {
+    "dataset_label": "rr",
+    "penalty": {"kind": "ridge", "lam": 1.0, "a": 3.7},
+    "alpha": 0.05,
+    "rows": [
+        {"name": f"macro_0{i}", "coef": 0.1, "t": 3.0, "p": 0.01, "selected": i < 3} for i in (1, 2, 3)
+    ],
+    "n_features": 3,
+    "n_selected": 2,
+    "selected_names": ["macro_01", "macro_02"],
 }
 
 
@@ -484,10 +522,15 @@ FOREIGN_COLUMN_SELECTION = {
         ("config", {"model": 3}, 1, "config.model"),
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
         ("config", {"model": {"loss": "mse"}}, 1, "config.model.loss"),
-        ("rr_selection.json", {}, 2, "rr_selection.penalty"),
+        ("rr_selection.json", {}, 2, "rr_selection.rows is missing"),
         ("rr_selection.json", [1], 2, "rr_selection.json"),
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
         ("rr_selection.json", FOREIGN_COLUMN_SELECTION, 2, "macro_99"),
+        ("rr_selection.json", SELECTION | {"selected_names": ["macro_01"]}, 2, "rr_selection.selected_names"),
+        ("rr_selection.json", SELECTION | {"n_selected": 3}, 2, "rr_selection.n_selected"),
+        ("rr_selection.json", SELECTION | {"n_features": 999}, 2, "rr_selection.n_features"),
+        ("rr_selection.json", SELECTION | {"penalty": {"kind": "ridge", "lambda": 1.0, "a": None}}, 2,
+         "rr_selection.penalty.lambda"),
         ("checkpoint.json", {"format_version": 2}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
         ("checkpoint.json", CHECKPOINT | {"params": {}}, 2, "checkpoint.params"),
@@ -503,6 +546,8 @@ FOREIGN_COLUMN_SELECTION = {
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
+        "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",
+        "selection-width-disagrees-with-rows", "selection-old-penalty-format",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
         "checkpoint-scaler-zero-sd", "checkpoint-lacks-target", "checkpoint-nan-param",

@@ -1,4 +1,8 @@
-"""Every dataclass document survives write_json -> read_json -> from_json unchanged."""
+"""Every dataclass document survives write_json -> read_json -> from_json unchanged.
+
+A derived (init=False) field a document states must agree with the value its class derives.
+"""
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -42,3 +46,32 @@ def test_round_trip(kind, tmp_path):
         assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value, name
     write_json(tmp_path / "again.json", again)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@dataclasses.dataclass
+class _Tally:
+    items: list[str]
+    count: int = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.count = len(self.items)
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ({"items": ["a", "b"]}, None),
+        ({"items": ["a", "b"], "count": 2}, None),
+        ({"items": ["a", "b"], "count": 3}, "tally.count: 3 disagrees with 2"),
+        ({"items": ["a", "b"], "count": "2"}, "tally.count: expected int"),
+        ({"items": ["a"], "total": 1}, "unknown key tally.total"),
+    ],
+    ids=["derived-absent", "derived-agrees", "derived-disagrees", "derived-mistyped", "unknown-key"],
+)
+def test_derived_field_must_agree(doc, error):
+    """An init=False field is never passed to the constructor; a stated one must equal the derived value."""
+    if error is None:
+        assert from_json(_Tally, doc, "tally", DataError).count == len(doc["items"])
+    else:
+        with pytest.raises(DataError, match=error):
+            from_json(_Tally, doc, "tally", DataError)

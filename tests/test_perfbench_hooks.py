@@ -62,3 +62,13 @@ def test_traced_session_runs_every_hook(tmp_path):
     assert rec.counters["neural.lstm.gflop_computed"] > 0
     assert rec.calls["neural.model_to_dict"] > 0  # pipeline must call them through the neural module
     assert rec.calls["neural.model_from_dict"] > 0
+
+    # the artifact keys perfbench/workloads.py reads after a csv-session
+    out = tmp_path / "out"
+    scad = json.loads((out / "scad_selection.json").read_text())
+    assert scad["n_selected"] == sum(r["selected"] for r in scad["rows"])
+    for name in ("train_metrics.json", "eval_metrics.json"):
+        metrics = json.loads((out / name).read_text())
+        assert {"label", "seed", "mse", "mae", "mape"} <= set(metrics), name
+    labels = [r["label"] for r in json.loads((out / "comparison.json").read_text())["rows"]]
+    assert labels == ["RR-CNN", "RR-LSTM", "RR-CNN-LSTM", "RR-DILATED_CNN-LSTM", "SCAD-DILATED_CNN-LSTM"]

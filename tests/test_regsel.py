@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import scipy.stats  # the oracle for the ridge p-values; the package itself neve
 from hypothesis import example, given, settings, strategies as st
 
 from hybridcast import regsel
-from hybridcast.errors import ParameterError, SingularityError
-from hybridcast.jsonio import write_json
+from hybridcast.errors import DataError, ParameterError, SingularityError
+from hybridcast.jsonio import from_json, read_json, write_json
 from hybridcast.pipeline import lagged_design
 from hybridcast.regsel import PenaltySpec, RegressionFit
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
@@ -581,11 +581,11 @@ class TestSelectFeatures:
         )
         report = regsel.select_features(fit, ["u", "v"], dataset_label="scad")
         path = tmp_path / "sel.json"
-        write_json(path, report.to_json_dict())
-        loaded = regsel.SelectionReport.from_json_dict(json.loads(path.read_text()))
-        assert loaded.selected_names == report.selected_names
-        assert loaded.penalty == report.penalty
-        assert loaded.dataset_label == "scad"
+        write_json(path, report)
+        loaded = from_json(regsel.SelectionReport, read_json(path, "selection", DataError), "sel", DataError)
+        for f in dataclasses.fields(report):
+            assert getattr(loaded, f.name) == getattr(report, f.name), f.name
+        assert (loaded.n_features, loaded.n_selected, loaded.selected_names) == (2, 1, ["u"])
 
     def test_csv_columns(self):
         fit = RegressionFit(
