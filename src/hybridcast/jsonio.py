@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -97,6 +98,12 @@ def _is(value, cls) -> bool:
     return isinstance(value, (int, float) if cls is float else cls)
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """A dataclass's field annotations, evaluated once per class: a document may hold many values of one class."""
+    return typing.get_type_hints(cls)
+
+
 def from_json(cls, raw, where: str, error: type[Exception]):
     """Check decoded JSON against a type and build a value of it.
 
@@ -119,7 +126,7 @@ def from_json(cls, raw, where: str, error: type[Exception]):
         unknown = sorted(set(raw) - set(fields))
         if unknown:
             raise error("unknown key " + ", ".join(f"{where}.{k}" for k in unknown))
-        hints = typing.get_type_hints(cls)
+        hints = _type_hints(cls)
         values = {}
         for name, f in fields.items():
             if name in raw:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .numcore import Rng
+from .numcore import generator
 
 VARIANTS = ("cnn", "lstm", "cnn_lstm", "dilated_cnn_lstm")
 LSTM_KEYS = ("W_f", "W_i", "W_g", "W_o", "b_f", "b_i", "b_g", "b_o")
@@ -409,7 +409,6 @@ class ModelConfig:
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
-    init_scheme: str = "uniform"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -430,8 +429,6 @@ class ModelConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.init_scheme not in ("uniform", "zeros"):
-            raise ParameterError(f"init_scheme must be 'uniform' or 'zeros', got {self.init_scheme!r}")
 
 
 def _overlap(n: int, offset: int, scale: int = 1):
@@ -456,7 +453,7 @@ class ForecastModel:
             raise ParameterError(f"n_features must be >= 1, got {n_features}")
         self.config = config
         self.n_features = n_features
-        self.rng = Rng(config.seed)
+        self.rng = generator(config.seed)
 
         self._uses_conv = config.variant != "lstm"
         self._uses_lstm = config.variant != "cnn"
@@ -507,12 +504,8 @@ class ForecastModel:
     def _init_params(self, shapes: dict) -> dict:
         params = {}
         for name, shape in shapes.items():
-            if self.config.init_scheme == "zeros":
-                params[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / np.sqrt(self._fan_in(name, shapes))
-                params[name] = self.rng.uniform(shape, -bound, bound)
-            params[name] = np.asarray(params[name], dtype=np.float64).reshape(shape)
+            bound = 1.0 / np.sqrt(self._fan_in(name, shapes))
+            params[name] = self.rng.uniform(-bound, bound, size=shape)
         return params
 
     def _require_single(self, what: str) -> None:
@@ -521,8 +514,6 @@ class ForecastModel:
 
     def _check_windows(self, windows: np.ndarray) -> np.ndarray:
         w = np.asarray(windows, dtype=np.float64)
-        if w.ndim == 2:
-            w = w[None, :, :]
         if w.ndim != 3 or w.shape[1] != self.config.window or w.shape[2] != self.n_features:
             raise ShapeError(
                 f"windows must be (B, {self.config.window}, {self.n_features}), got {np.shape(windows)}"

@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate and the seeded RNG.
+"""Dense linear-algebra substrate and the seeded random generator.
 
 Arrays are plain float64 numpy ndarrays (row-major); every function here
 validates shapes and delegates the arithmetic to numpy/scipy. Keeping the
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import ParameterError, ShapeError, SingularityError
+from .errors import ShapeError, SingularityError
 
 SYMMETRY_TOL = 1e-10
 
@@ -76,25 +76,11 @@ def sym_eigenvalues(a) -> np.ndarray:
     return vals[::-1].copy()
 
 
-class Rng:
-    """Seeded deterministic random source (PCG64).
+def generator(seed: int) -> np.random.Generator:
+    """numpy's seeded PCG64 generator; seeds are taken modulo 2**64, so -5 draws as 2**64 - 5.
 
     Equal seeds produce identical draw sequences; every stochastic piece
     of the toolkit draws through one of these so experiments replay
     exactly.
     """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-        if sd < 0:
-            raise ParameterError(f"normal: sd must be >= 0, got {sd}")
-        return self._gen.normal(mean, sd, size=int(n))
-
-    def uniform(self, shape, low: float, high: float) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(int(n))
+    return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))

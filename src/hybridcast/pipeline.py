@@ -113,6 +113,9 @@ class TimeSeriesFrame:
         missing = [n for n in names if n not in self.columns]
         if missing:
             raise DataError(f"columns {missing} are not in the panel")
+        repeated = sorted({n for i, n in enumerate(names) if n in names[:i]})
+        if repeated:
+            raise DataError(f"columns {repeated} are listed more than once")
         if self.target_name not in names:
             raise DataError(f"the columns lack the panel's target {self.target_name!r}")
         return TimeSeriesFrame(
@@ -122,17 +125,14 @@ class TimeSeriesFrame:
         )
 
 
-def frame_to_csv_text(frame: TimeSeriesFrame, date_column: str = "date") -> str:
+def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
+    """The panel as CSV: a date column, then every column in order, each value as its repr (lossless)."""
     names = list(frame.columns)
     rows = (
         [d.isoformat()] + [repr(float(frame.columns[n][i])) for n in names]
         for i, d in enumerate(frame.dates)
     )
-    return csv_text([date_column] + names, rows)
-
-
-def write_frame_csv(frame: TimeSeriesFrame, path, date_column: str = "date") -> None:
-    atomic_write_text(path, frame_to_csv_text(frame, date_column))
+    atomic_write_text(path, csv_text(["date"] + names, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +339,11 @@ class WindowBatch:
                 )
 
 
-def make_windows(
-    frame: TimeSeriesFrame,
-    window: int = 5,
-    original: TimeSeriesFrame | None = None,
-) -> WindowBatch:
+def make_windows(frame: TimeSeriesFrame, window: int, original: TimeSeriesFrame) -> WindowBatch:
     """Build N - window one-step-ahead samples from a standardized frame.
 
     `original` (the pre-scaling panel, same index) supplies the
-    original-scale targets; without it they fall back to the
-    standardized values.
+    original-scale targets.
     """
     if window < 1:
         raise ParameterError("window must be >= 1")
@@ -361,17 +356,12 @@ def make_windows(
     idx = np.arange(n_samples)[:, None] + np.arange(window)[None, :]
     inputs = mat[idx]  # (N, window, F)
     tgt_rows = np.arange(n_samples) + window
-    targets_std = frame.target[tgt_rows].copy()
-    if original is not None:
-        if len(original) != n:
-            raise ShapeError("original frame length differs from standardized frame")
-        targets_orig = original.columns[frame.target_name][tgt_rows].copy()
-    else:
-        targets_orig = targets_std.copy()
+    if len(original) != n:
+        raise ShapeError("original frame length differs from standardized frame")
     return WindowBatch(
         inputs=inputs,
-        targets_std=targets_std,
-        targets_orig=targets_orig,
+        targets_std=frame.target[tgt_rows].copy(),
+        targets_orig=original.columns[frame.target_name][tgt_rows].copy(),
         target_dates=[frame.dates[i] for i in tgt_rows],
         input_last_dates=[frame.dates[i + window - 1] for i in range(n_samples)],
     )
@@ -671,7 +661,7 @@ def compare_variants(
 # checkpoints
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -17,7 +17,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .errors import ParameterError
-from .numcore import Rng
+from .numcore import generator
 from .pipeline import TimeSeriesFrame
 from .regsel import SelectionReport
 
@@ -121,14 +121,14 @@ def generate_synthetic_panel(spec: SyntheticSpec) -> tuple[TimeSeriesFrame, Grou
     Draw order (common factors, idiosyncratic innovations, target noise)
     is fixed so a seed pins the panel bit for bit.
     """
-    rng = Rng(spec.seed)
+    rng = generator(spec.seed)
     n, m = spec.n_days, spec.n_features
     names = spec.feature_names()
 
     cluster_of = np.repeat(np.arange(3), spec.cluster_sizes)
-    common = rng.normal(n * 3).reshape(n, 3)
-    idio = rng.normal(n * m).reshape(n, m)
-    eps = rng.normal(n, 0.0, spec.noise_sd) if spec.noise_sd > 0 else np.zeros(n)
+    common = rng.normal(size=(n, 3))
+    idio = rng.normal(size=(n, m))
+    eps = rng.normal(0.0, spec.noise_sd, n) if spec.noise_sd > 0 else np.zeros(n)
 
     innov = spec.innovation_sd * (common[:, cluster_of] + idio)
     x = np.empty((n, m))

@@ -294,7 +294,6 @@ class TestTrainEvaluateCommands:
     def test_zero_epochs_matches_no_training_oracle(self, tmp_path):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["model"]["epochs"] = 0
-        cfg["model"]["init_scheme"] = "zeros"
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         out = str(tmp_path / "o")
@@ -307,11 +306,9 @@ class TestTrainEvaluateCommands:
         frame, _ = load_panel(config.data)
         result = pipeline.train_model(frame, None, config.model, train_fraction=0.9)
         written = json.load(open(os.path.join(out, "train_metrics.json")))
+        assert result.history == written["history"] == []
         assert written["mse"] == result.metrics.mse
         assert written["mape"] == result.metrics.mape
-        # zero weights predict the standardized 0, i.e. the train-span mean
-        mean_price = result.scaler.inverse_column("price", np.zeros(1))[0]
-        assert np.allclose(result.predictions, mean_price)
 
     def test_missing_selection_is_data_error(self, tiny_config, tmp_path, capsys):
         out = str(tmp_path / "o")
@@ -443,13 +440,18 @@ CHECKPOINT_CONFIG = ModelConfig(variant="lstm", hidden_size=1)
 
 # a well-formed checkpoint of the tiny panel's columns price and macro_01 that fails only its SHA-256 check
 CHECKPOINT = {
-    "format_version": 2,
+    "format_version": 3,
     "config": dataclasses.asdict(CHECKPOINT_CONFIG),
     "params": {k: dataclasses.asdict(v) for k, v in model_to_dict(ForecastModel(CHECKPOINT_CONFIG, 2)).items()},
     "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
     "target_name": "price",
     "train_fraction": TINY_CONFIG["train_fraction"],
     "train_span_sha256": "0" * 64,
+}
+
+V2_CHECKPOINT = CHECKPOINT | {
+    "format_version": 2,
+    "config": CHECKPOINT["config"] | {"init_scheme": "uniform"},
 }
 
 V1_CHECKPOINT = CHECKPOINT | {
@@ -470,6 +472,10 @@ NAN_SCALER_MEAN_CHECKPOINT = CHECKPOINT | {
 
 ZERO_SCALER_SD_CHECKPOINT = CHECKPOINT | {
     "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
+}
+
+REPEATED_NAME_CHECKPOINT = CHECKPOINT | {
+    "scaler": {"names": ["price", "macro_01", "macro_01"], "mean": [0.0, 0.0, 0.0], "sd": [1.0, 1.0, 1.0]},
 }
 
 NO_TARGET_CHECKPOINT = CHECKPOINT | {
@@ -511,6 +517,12 @@ SELECTION = {
 }
 
 
+def selecting(*names):
+    """A report whose rows, in order, are the given names, each selected."""
+    rows = [{"name": n, "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True} for n in names]
+    return {"dataset_label": "rr", "penalty": {"kind": "ridge", "lam": 1.0, "a": 3.7}, "alpha": 0.05, "rows": rows}
+
+
 @pytest.mark.parametrize(
     "name,doc,code,key",
     [
@@ -522,6 +534,7 @@ SELECTION = {
         ("config", {"model": 3}, 1, "config.model"),
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
         ("config", {"model": {"loss": "mse"}}, 1, "config.model.loss"),
+        ("config", {"model": {"init_scheme": "zeros"}}, 1, "config.model.init_scheme"),
         ("rr_selection.json", {}, 2, "rr_selection.rows is missing"),
         ("rr_selection.json", [1], 2, "rr_selection.json"),
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
@@ -531,13 +544,17 @@ SELECTION = {
         ("rr_selection.json", SELECTION | {"n_features": 999}, 2, "rr_selection.n_features"),
         ("rr_selection.json", SELECTION | {"penalty": {"kind": "ridge", "lambda": 1.0, "a": None}}, 2,
          "rr_selection.penalty.lambda"),
-        ("checkpoint.json", {"format_version": 2}, 2, "checkpoint.config"),
+        ("rr_selection.json", selecting("macro_01", "macro_01"), 2, "['macro_01'] are listed more than once"),
+        ("rr_selection.json", selecting("price", "macro_01"), 2, "['price'] are listed more than once"),
+        ("checkpoint.json", {"format_version": 3}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
         ("checkpoint.json", CHECKPOINT | {"params": {}}, 2, "checkpoint.params"),
+        ("checkpoint.json", V2_CHECKPOINT, 2, "checkpoint.format_version: expected 3, got 2"),
         ("checkpoint.json", V1_CHECKPOINT, 2, "checkpoint.format_version"),
         ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", NAN_SCALER_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", ZERO_SCALER_SD_CHECKPOINT, 2, "checkpoint.scaler"),
+        ("checkpoint.json", REPEATED_NAME_CHECKPOINT, 2, "['macro_01'] are listed more than once"),
         ("checkpoint.json", NO_TARGET_CHECKPOINT, 2, "lack the panel's target 'price'"),
         ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
         ("checkpoint.json", CHECKPOINT, 2, "SHA-256"),
@@ -545,13 +562,15 @@ SELECTION = {
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
+        "config-model-init-scheme",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",
         "selection-width-disagrees-with-rows", "selection-old-penalty-format",
+        "selection-repeats-a-column", "selection-selects-the-target",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
-        "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
-        "checkpoint-scaler-zero-sd", "checkpoint-lacks-target", "checkpoint-nan-param",
-        "checkpoint-fixture-fails-only-its-sha",
+        "checkpoint-v2", "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
+        "checkpoint-scaler-zero-sd", "checkpoint-scaler-repeats-a-column", "checkpoint-lacks-target",
+        "checkpoint-nan-param", "checkpoint-fixture-fails-only-its-sha",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

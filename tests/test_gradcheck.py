@@ -3,7 +3,7 @@ import pytest
 
 from hybridcast import gradcheck
 from hybridcast.neural import VARIANTS, ForecastModel, mse_loss
-from hybridcast.numcore import Rng
+from hybridcast.numcore import generator
 
 REQUIRED_BLOCKS = (
     "conv_kernel", "conv_bias",
@@ -37,8 +37,8 @@ def sequential_central_difference(loss, x, step=gradcheck.DEFAULT_STEP):
 def test_stacked_probes_match_sequential_probes_bit_for_bit(variant):
     """Every block's central differences, the 0-d dense_b and the input block included, are the sequential loop's bits."""
     model = ForecastModel(gradcheck._tiny_config(variant, seed=5), 3)
-    data = Rng(22)
-    windows, targets = data.normal(45).reshape(3, 5, 3), data.normal(3)
+    data = generator(22)
+    windows, targets = data.normal(size=(3, 5, 3)), data.normal(size=3)
     before = {name: p.copy() for name, p in model.params.items()}
     numeric = gradcheck.numeric_gradients(model, windows, targets)
 

@@ -2,7 +2,10 @@
 
 A derived (init=False) field a document states must agree with the value its class derives.
 """
+import collections
 import dataclasses
+import os
+import typing
 from datetime import date
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from hybridcast.config import DataConfig, ExperimentConfig, SelectionConfig
 from hybridcast.errors import DataError
-from hybridcast.jsonio import from_json, read_json, write_json
+from hybridcast.jsonio import atomic_write_text, from_json, read_json, write_json
 from hybridcast.neural import ModelConfig
 from hybridcast.pipeline import StandardScaler
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
@@ -75,3 +78,36 @@ def test_derived_field_must_agree(doc, error):
     else:
         with pytest.raises(DataError, match=error):
             from_json(_Tally, doc, "tally", DataError)
+
+
+def test_one_read_evaluates_each_class_annotations_once(monkeypatch):
+    """A document holding many values of one dataclass, like a selection report's rows, reads its hints once."""
+    calls = collections.Counter()
+    get_type_hints = typing.get_type_hints
+
+    def counted(cls, *args, **kwargs):
+        calls[cls] += 1
+        return get_type_hints(cls, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    tallies = from_json(list[_Tally], [{"items": ["a"] * k} for k in range(20)], "tallies", DataError)
+    assert [t.count for t in tallies] == list(range(20))
+    assert max(calls.values(), default=0) <= 1, calls
+
+
+def _failing_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("text,fault", [("new", "rename"), ("new \ud800", "encode")],
+                         ids=["rename-fails", "write-fails"])
+def test_failed_atomic_write_keeps_the_old_file(tmp_path, monkeypatch, text, fault):
+    """A write that fails partway leaves the target's old bytes and no temporary file."""
+    path = tmp_path / "doc.json"
+    path.write_text("old")
+    if fault == "rename":
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError if fault == "rename" else UnicodeEncodeError):
+        atomic_write_text(path, text)
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

@@ -25,7 +25,7 @@ from hybridcast.neural import (
     mse_loss,
     receptive_field,
 )
-from hybridcast.numcore import Rng
+from hybridcast.numcore import generator
 
 
 class TestReceptiveField:
@@ -294,12 +294,12 @@ class TestLstm:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_gate_ranges(self, seed):
-        rng = Rng(seed)
+        rng = generator(seed)
         params = LstmParams.from_gates(
-            *[rng.normal(3 * 5, 0, 1).reshape(3, 5) for _ in range(4)],
-            *[rng.normal(3, 0, 1) for _ in range(4)],
+            *[rng.normal(size=(3, 5)) for _ in range(4)],
+            *[rng.normal(size=3) for _ in range(4)],
         )
-        x = rng.normal(2 * 2 * 2, 0, 1).reshape(2, 2, 2)
+        x = rng.normal(size=(2, 2, 2))
         states, _ = lstm_forward(params, input_preacts(params, x))
         for st_ in states:
             assert np.all((st_.f > 0) & (st_.f < 1))
@@ -657,8 +657,10 @@ def tiny_config(variant, **kw):
 class TestForecastModel:
     @pytest.mark.parametrize("variant", neural.VARIANTS)
     def test_zero_init_predicts_zero(self, variant, rng):
-        cfg = tiny_config(variant, init_scheme="zeros")
-        model = ForecastModel(cfg, n_features=4)
+        """A model whose every block is zeroed in place predicts 0 (the standardized train-span mean)."""
+        model = ForecastModel(tiny_config(variant), n_features=4)
+        for p in model.params.values():
+            p[...] = 0.0
         preds = model.predict(rng.standard_normal((6, 5, 4)))
         assert not preds.any()
 
@@ -689,6 +691,9 @@ class TestForecastModel:
         model = ForecastModel(tiny_config("lstm"), n_features=4)
         with pytest.raises(ShapeError):
             model.predict(np.zeros((2, 5, 3)))
+        for run in (model.predict, model.forward):  # one window is a batch of one, not a 2-d array
+            with pytest.raises(ShapeError):
+                run(np.zeros((5, 4)))
 
     def test_cnn_lstm_delta_kernel_matches_tiled_lstm(self, rng):
         """Identity conv kernels reduce cnn_lstm to plain lstm over tiled features."""
@@ -779,7 +784,7 @@ class TestForecastModel:
     def test_checkpoint_roundtrip_bit_exact(self, variant, tmp_path):
         """A model's config and encoded blocks, after an Adam step, predict through JSON what the model does, bit for bit."""
         model = ForecastModel(tiny_config(variant), n_features=3)
-        preds, cache = model.forward(Rng(6).normal(4 * 5 * 3).reshape(4, 5, 3))
+        preds, cache = model.forward(generator(6).normal(size=(4, 5, 3)))
         grads, _ = model.backward(cache, mse_loss(preds, np.ones(4))[1])
         adam_step(adam_init(model.params), model.params, grads, lr=0.01)
         write_json(tmp_path / "m.json", {"config": model.config, "params": neural.model_to_dict(model)})
@@ -790,5 +795,5 @@ class TestForecastModel:
         assert again.config == model.config
         for name in model.params:
             assert np.array_equal(again.params[name], model.params[name]), name
-        x = Rng(5).normal(2 * 5 * 3).reshape(2, 5, 3)
+        x = generator(5).normal(size=(2, 5, 3))
         assert np.array_equal(model.predict(x), again.predict(x))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridcast import numcore
-from hybridcast.errors import ParameterError, ShapeError, SingularityError
+from hybridcast.errors import ShapeError, SingularityError
 
 
 class TestSolveSpd:
@@ -73,26 +73,23 @@ class TestSymEigenvalues:
 
 
 class TestRng:
-    def test_sd_zero_degenerate(self):
-        assert numcore.Rng(1).normal(3, mean=5.0, sd=0.0) == pytest.approx([5.0, 5.0, 5.0])
+    """numcore.generator, the seeded random source of model init, panel draws and gradcheck data."""
 
     def test_same_seed_identical(self):
-        a = numcore.Rng(42).normal(100)
-        b = numcore.Rng(42).normal(100)
+        a = numcore.generator(42).normal(size=100)
+        b = numcore.generator(42).normal(size=100)
         assert np.array_equal(a, b)
 
     def test_bitwise_stream_reproducibility(self):
-        r1, r2 = numcore.Rng(9), numcore.Rng(9)
+        r1, r2 = numcore.generator(9), numcore.generator(9)
         for _ in range(5):
-            assert np.array_equal(r1.normal(17), r2.normal(17))
+            assert np.array_equal(r1.normal(size=17), r2.normal(size=17))
+            assert np.array_equal(r1.uniform(-1.0, 1.0, size=(2, 3)), r2.uniform(-1.0, 1.0, size=(2, 3)))
             assert np.array_equal(r1.permutation(23), r2.permutation(23))
 
-    def test_negative_sd(self):
-        with pytest.raises(ParameterError):
-            numcore.Rng(1).normal(3, sd=-1.0)
-
-    def test_clt_bound(self):
-        # 3 sigma band: 3 / sqrt(1e5) < 0.01
-        draws = numcore.Rng(2024).normal(100_000, mean=0.0, sd=1.0)
-        assert abs(draws.mean()) < 0.01
-        assert abs(draws.std(ddof=1) - 1.0) < 0.01
+    @pytest.mark.parametrize("seed,pcg_seed", [(0, 0), (1, 1), (31679, 31679), (2**63, 2**63), (-5, 2**64 - 5),
+                                               (2**64 + 7, 7)])
+    def test_seed_is_taken_modulo_2_to_the_64(self, seed, pcg_seed):
+        """A seed draws what PCG64 draws from it modulo 2**64, so a negative seed is valid."""
+        expected = np.random.Generator(np.random.PCG64(pcg_seed)).normal(size=8)
+        assert numcore.generator(seed).normal(size=8).tobytes() == expected.tobytes()

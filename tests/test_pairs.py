@@ -46,6 +46,7 @@ def test_broken_runs_are_printed_and_fail(pairs, tmp_path, monkeypatch, capsys, 
     assert pairs.main(argv) == (1 if broken else 0)
     report = json.loads(out.read_text())
     assert report["seeds"] == [first_seed, first_seed + 1]
+    assert report["src_statements"] == {"parent": 0, "change": 0}
     figures = report["workloads"]["train-dilated"]["figures"]
     assert set(figures) == {"gradcheck_s", "sessions"}  # numeric figures only
     s0 = first_seed
@@ -70,3 +71,14 @@ def test_bench_reads_the_machine_figures_and_result_lines(pairs, monkeypatch, tm
     assert machine == {"cores": 2}
     assert figures == {"gradcheck_s": 0.02, "sessions": 4}
     assert result["correct"] is True
+
+
+def test_statement_count_ignores_line_layout_and_docstrings(pairs, tmp_path):
+    """Joining a statement's lines or dropping a docstring changes src_lines but not src_statements."""
+    module = tmp_path / "src" / "pkg" / "m.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('"""Module."""\ntotal = (1 +\n         2)\n\n\ndef f():\n    """Doc."""\n    return total\n')
+    lines, statements = pairs.src_lines(tmp_path), pairs.src_statements(tmp_path)
+    module.write_text("total = 1 + 2\ndef f(): return total\n")
+    assert pairs.src_lines(tmp_path) == 2 < lines
+    assert pairs.src_statements(tmp_path) == statements == 3

@@ -42,6 +42,11 @@ def days(n, start=date(2020, 1, 1)):
     return [start + timedelta(days=i) for i in range(n)]
 
 
+def windows(frame, window=5):
+    """make_windows of an unscaled frame, which is its own original."""
+    return make_windows(frame, window, frame)
+
+
 def simple_frame(n=12, slope=1.0):
     d = days(n)
     t = np.arange(n, dtype=float)
@@ -272,12 +277,12 @@ class TestScaler:
 
 class TestMakeWindows:
     def test_sample_count(self):
-        batch = make_windows(simple_frame(n=10), window=5)
+        batch = windows(simple_frame(n=10))
         assert len(batch) == 5
 
     def test_single_sample_indexing(self):
         frame = simple_frame(n=6)
-        batch = make_windows(frame, window=5)
+        batch = windows(frame)
         assert len(batch) == 1
         assert batch.inputs[0] == pytest.approx(frame.values(list(frame.columns))[0:5])
         assert batch.targets_std[0] == frame.target[5]
@@ -285,10 +290,10 @@ class TestMakeWindows:
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            make_windows(simple_frame(n=5), window=5)
+            windows(simple_frame(n=5))
 
     def test_no_lookahead_invariant(self):
-        batch = make_windows(simple_frame(n=30), window=5)
+        batch = windows(simple_frame(n=30))
         batch.check_no_lookahead()
         for last_in, tgt in zip(batch.input_last_dates, batch.target_dates):
             assert last_in < tgt
@@ -298,37 +303,37 @@ class TestMakeWindows:
     def test_window_count_property(self, n, window):
         if n <= window:
             return
-        batch = make_windows(simple_frame(n=n), window=window)
+        batch = windows(simple_frame(n=n), window)
         assert len(batch) == n - window
         batch.check_no_lookahead()
 
 
 class TestChronoSplit:
     def test_ninety_ten(self):
-        batch = make_windows(simple_frame(n=105), window=5)  # 100 samples
+        batch = windows(simple_frame(n=105))  # 100 samples
         train, test = chrono_split(batch, 0.9)
         assert len(train) == 90 and len(test) == 10
 
     def test_floor_rule(self):
-        batch = make_windows(simple_frame(n=15), window=5)  # 10 samples
+        batch = windows(simple_frame(n=15))  # 10 samples
         train, test = chrono_split(batch, 0.9)
         assert len(train) == 9 and len(test) == 1
         # boundaries: the floor is clamped so both parts keep at least one sample
         cases = [(2, 0.5, 1), (2, 1e-9, 1), (2, 1 - 1e-9, 1), (3, 0.67, 2), (10, 0.05, 1), (100, 0.999, 99)]
         for n, fraction, n_train in cases:
             assert pipeline.split_index(n, fraction) == n_train
-            train, test = chrono_split(make_windows(simple_frame(n=n + 5), window=5), fraction)
+            train, test = chrono_split(windows(simple_frame(n=n + 5)), fraction)
             assert (len(train), len(test)) == (n_train, n - n_train)
 
     def test_order_and_partition(self):
-        batch = make_windows(simple_frame(n=30), window=5)
+        batch = windows(simple_frame(n=30))
         train, test = chrono_split(batch)
         assert max(train.target_dates) < min(test.target_dates)
         assert list(train.target_dates) + list(test.target_dates) == list(batch.target_dates)
         assert np.array_equal(np.vstack([train.inputs, test.inputs]), batch.inputs)
 
     def test_too_few_samples(self):
-        batch = make_windows(simple_frame(n=6), window=5)
+        batch = windows(simple_frame(n=6))
         with pytest.raises(InsufficientDataError):
             chrono_split(batch)
         with pytest.raises(InsufficientDataError):
@@ -434,25 +439,33 @@ def tiny_train_config(**kw):
     return ModelConfig(**kw)
 
 
+def zero_weight_baseline(frame):
+    """A 0-epoch train_model result whose model has every block zeroed in place, and its rescored (row, forecasts)."""
+    result = train_model(frame, None, tiny_train_config(epochs=0))
+    for p in result.model.params.values():
+        p[...] = 0.0
+    split = pipeline.prepare_split(frame, result.scaler.names, result.model.config.window, 0.9, result.scaler)
+    return result, *score_forecasts(result.model, split, frame.target_name)
+
+
 class TestTrainModel:
     def test_zero_init_zero_epochs_baseline(self, small_panel):
         frame, _ = small_panel
-        cfg = tiny_train_config(epochs=0, init_scheme="zeros")
-        result = train_model(frame, None, cfg)
+        result, row, preds = zero_weight_baseline(frame)
         # prediction is the inverse-scaled 0 = train-span mean of the target
-        expected = np.full_like(result.predictions, result.scaler.inverse_column("price", np.zeros(1))[0])
-        assert result.predictions == pytest.approx(expected)
-        assert math.isfinite(result.metrics.mse)
+        expected = np.full_like(preds, result.scaler.inverse_column("price", np.zeros(1))[0])
+        assert preds == pytest.approx(expected)
+        assert math.isfinite(row.mse)
         assert result.history == []
 
     def test_learning_beats_no_training_baseline(self, small_panel):
         frame, _ = small_panel
-        baseline = train_model(frame, None, tiny_train_config(epochs=0, init_scheme="zeros"))
+        _, baseline, _ = zero_weight_baseline(frame)
         trained = train_model(frame, None, tiny_train_config(epochs=8))
         assert trained.history[-1] <= trained.history[0]
         baseline_train_mse = 1.0  # standardized targets have unit-ish variance; epoch-0 loss is ~1
         assert trained.history[-1] < baseline_train_mse
-        assert trained.metrics.mse < baseline.metrics.mse
+        assert trained.metrics.mse < baseline.mse
 
     def test_determinism(self, small_panel):
         frame, _ = small_panel

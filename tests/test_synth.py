@@ -24,6 +24,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             SyntheticSpec(true_support=(1, 2), weights=(1.0,))
 
+    def test_negative_noise_sd(self):
+        """The one check on the target noise's sd: generate_synthetic_panel draws it from numpy unchecked."""
+        with pytest.raises(ParameterError):
+            SyntheticSpec(noise_sd=-1.0)
+
 
 class TestGeneration:
     def test_same_seed_identical(self):

@@ -14,15 +14,17 @@ median, Q1, Q3 and every value,
 and the number of pairs in which the change is lower (better); per
 numeric value of the run's ``figures (...)`` line (raw seconds per
 command, counts), both sides' median and every value; every
-run's correctness; and the ``src/`` line count of both checkouts. For
-each workload and metric it prints one summary line: both medians, the
-change's median against the parent's in %, and the pairs the change won.
+run's correctness; and the ``src/`` line and statement counts of both
+checkouts. For each workload and metric it prints one summary line: both
+medians, the change's median against the parent's in %, and the pairs
+the change won.
 After writing the file it prints every run that is not correct or has a
 failed check, and then exits 1.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -46,6 +48,17 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
 
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def src_statements(root: Path) -> int:
+    """AST statements in ``src/``, docstrings excluded: reformatting or joining lines leaves it unchanged."""
+    total = 0
+    for p in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            docstring = (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                         and isinstance(node.value.value, str))
+            total += isinstance(node, ast.stmt) and not docstring
+    return total
 
 
 def summary(values: list[float]) -> dict:
@@ -85,7 +98,8 @@ def main(argv=None) -> int:
 
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     report = {"run_seconds": seconds, "pairs": args.pairs, "seeds": seeds, "workloads": {},
-              "src_lines": {side: src_lines(root) for side, root in sides.items()}}
+              "src_lines": {side: src_lines(root) for side, root in sides.items()},
+              "src_statements": {side: src_statements(root) for side, root in sides.items()}}
     for workload in args.workload:
         runs, figures = {"parent": [], "change": []}, {"parent": [], "change": []}
         for seed in seeds:
