@@ -517,9 +517,9 @@ SELECTION = {
 }
 
 
-def selecting(*names):
-    """A report whose rows, in order, are the given names, each selected."""
-    rows = [{"name": n, "coef": 0.1, "t": 3.0, "p": 0.01, "selected": True} for n in names]
+def selecting(*names, unselected=()):
+    """A report whose rows, in order, are the given names, each selected, then the `unselected` names."""
+    rows = [{"name": n, "coef": 0.1, "t": 3.0, "p": 0.01, "selected": n in names} for n in names + unselected]
     return {"dataset_label": "rr", "penalty": {"kind": "ridge", "lam": 1.0, "a": 3.7}, "alpha": 0.05, "rows": rows}
 
 
@@ -546,6 +546,8 @@ def selecting(*names):
          "rr_selection.penalty.lambda"),
         ("rr_selection.json", selecting("macro_01", "macro_01"), 2, "['macro_01'] are listed more than once"),
         ("rr_selection.json", selecting("price", "macro_01"), 2, "['price'] are listed more than once"),
+        ("rr_selection.json", selecting("macro_01", unselected=("macro_02", "macro_02")), 2,
+         "rr_selection: ['macro_02'] are listed more than once"),
         ("checkpoint.json", {"format_version": 3}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
         ("checkpoint.json", CHECKPOINT | {"params": {}}, 2, "checkpoint.params"),
@@ -566,7 +568,7 @@ def selecting(*names):
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",
         "selection-width-disagrees-with-rows", "selection-old-penalty-format",
-        "selection-repeats-a-column", "selection-selects-the-target",
+        "selection-repeats-a-column", "selection-selects-the-target", "selection-repeats-an-unselected-row",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-v2", "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
         "checkpoint-scaler-zero-sd", "checkpoint-scaler-repeats-a-column", "checkpoint-lacks-target",

@@ -1,4 +1,6 @@
-"""tools/pairs.py writes its report and then fails loudly on any broken benchmark run."""
+"""tools/pairs.py writes its report and then fails loudly on any broken benchmark run; tools/counts.py
+fails on any traced count that differs."""
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -6,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PAIRS = TOOLS / "pairs.py"
 
 
 @pytest.fixture
@@ -82,3 +85,54 @@ def test_statement_count_ignores_line_layout_and_docstrings(pairs, tmp_path):
     module.write_text("total = 1 + 2\ndef f(): return total\n")
     assert pairs.src_lines(tmp_path) == 2 < lines
     assert pairs.src_statements(tmp_path) == statements == 3
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("counts")
+
+
+def traced_stdout(sweeps: int) -> str:
+    """What a traced perfbench run prints: machine, figures, then the result with its per-layer metrics."""
+    metrics = {"regsel.penalized_fit.calls": {"value": 257, "unit": "count"},
+               "regsel.penalized_fit.sweeps": {"value": sweeps, "unit": "count"},
+               "regsel.penalized_fit.self_s": {"value": 0.5 + sweeps, "unit": "s"},
+               "neural.lstm.gflop_computed": {"value": 0.25, "unit": "GFLOP"}}
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}
+    return "\n".join(['machine: {"nproc": 2}', 'figures (select-mc, seed 1, raw seconds): {}', json.dumps(result)]) + "\n"
+
+
+@pytest.mark.parametrize("change_sweeps,code", [(12345, 0), (12346, 1)], ids=["same", "one-count-differs"])
+def test_counts_prints_every_count_and_fails_on_a_difference(counts, tmp_path, monkeypatch, capsys, change_sweeps, code):
+    per_layer = [{"name": name, "unit": unit, "better": "lower"} for name, unit in (
+        ("regsel.penalized_fit.calls", "count"), ("regsel.penalized_fit.self_s", "s"),
+        ("regsel.penalized_fit.sweeps", "count"), ("neural.lstm.gflop_computed", "GFLOP"))]
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "per_layer": per_layer}))
+    commands = []
+
+    def run(cmd, cwd, **kw):
+        commands.append((Path(cwd).name, cmd[cmd.index("--seed") + 1], cmd[cmd.index("--trace") + 1]))
+        stdout = traced_stdout(change_sweeps if Path(cwd).name == "change" else 12345)
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "select-mc"]
+    assert counts.main(argv) == code
+    assert commands == [("parent", "1", "1"), ("change", "1", "1")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "select-mc regsel.penalized_fit.calls: parent 257, change 257",
+        f"select-mc regsel.penalized_fit.sweeps: parent 12345, change {change_sweeps}" + ("  DIFFERS" if code else ""),
+        "select-mc neural.lstm.gflop_computed: parent 0.25, change 0.25",
+    ]
+    assert out[3] == f"{code} of 3 traced counts differ"
+    assert len(out) == 4  # the seconds metric is not compared
+
+
+def test_counts_flags_a_metric_missing_from_one_side(counts):
+    parent = {"metrics": {"a.calls": {"value": 3, "unit": "count"}}}
+    lines, differ = counts.count_lines("w", ["a.calls"], parent, {"metrics": {}})
+    assert (lines, differ) == (["w a.calls: parent 3, change None  DIFFERS"], 1)

@@ -1,16 +1,19 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats  # the oracle for the ridge p-values; the package itself never loads it
 from hypothesis import example, given, settings, strategies as st
 
-from hybridcast import regsel
+from hybridcast import numcore, regsel
 from hybridcast.errors import DataError, ParameterError, SingularityError
 from hybridcast.jsonio import from_json, read_json, write_json
 from hybridcast.pipeline import lagged_design
 from hybridcast.regsel import PenaltySpec, RegressionFit
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
+from scipy.linalg.blas import daxpy
 from scipy.special import stdtr
 
 
@@ -324,7 +327,7 @@ class TestPenalizedFit:
             rng.uniform(-2.0, 2.0, 40),
             [0.0, lam, -lam, 2 * lam, a * lam, -a * lam, np.nextafter(a * lam, 0.0)],
         ])
-        got = regsel._objective(0.0, beta, PenaltySpec("scad", lam, a), n=1)
+        got = regsel._objective(PenaltySpec("scad", lam, a), n=1)(0.0, beta)
         expected = sum(regsel.scad_penalty(abs(b), lam, a) for b in beta)
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -402,8 +405,108 @@ class TestSweepObjective:
                 xs, yc, x_sd = standardized(x, y)
                 beta_std = fit.beta * x_sd
                 r = yc - xs @ beta_std
-                expected = regsel._objective(float(r @ r), beta_std, penalty, n)
+                expected = regsel._objective(penalty, n)(float(r @ r), beta_std)
                 assert fit.objective_history[-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def keyword_objective(resid_sq_sum, beta, penalty, n):
+    """The sweep objective with its constants re-derived on every call and np.sum over the terms."""
+    lam, b = penalty.lam, np.abs(beta)
+    if penalty.kind == "lasso":
+        pen = lam * float(np.sum(b))
+    else:
+        a = penalty.a
+        blend = -(b * b - 2.0 * a * lam * b + lam * lam) / (2.0 * (a - 1.0))
+        cap = (a + 1.0) * lam * lam / 2.0
+        pen = float(np.sum(np.where(b < lam, lam * b, np.where(b < a * lam, blend, cap))))
+    return resid_sq_sum / (2.0 * n) + pen
+
+
+def keyword_descend(d, penalty, tol, max_iter, beta_init):
+    """regsel._descend written with scipy's keyword daxpy call and keyword_objective.
+
+    The same float expressions in the same order, so it must give the
+    same bits: (standardized beta, sweeps, converged, objective history).
+    """
+    n, m = d.xs.shape
+    beta = np.zeros(m)
+    if beta_init is not None:
+        beta[d.active] = beta_init[d.active] * d.x_sd[d.active]
+    resid = d.yc - d.xs @ beta
+    g = d.xs.T @ resid / n
+    history = [keyword_objective(float(resid @ resid), beta, penalty, n)]
+    lam = penalty.lam
+    soft_limit = 2.0 * lam if penalty.kind == "scad" else math.inf
+    a_lam, a_m1, a_m2 = penalty.a * lam, penalty.a - 1.0, penalty.a - 2.0
+    coef = beta.tolist()
+    converged, sweeps = False, 0
+    for sweeps in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j in np.nonzero(d.active)[0].tolist():
+            old = coef[j]
+            z = float(g[j]) + old
+            if abs(z) <= lam:
+                if old == 0.0:
+                    continue
+                new = math.copysign(0.0, z)
+            elif abs(z) <= soft_limit:
+                new = z - lam if z > 0.0 else z + lam
+            elif abs(z) < a_lam:
+                new = (a_m1 * z - math.copysign(a_lam, z)) / a_m2
+            else:
+                new = z
+            if new != old:
+                daxpy(d.cov_rows[j], g, a=-(new - old))
+                max_delta = max(max_delta, abs(new - old))
+                coef[j] = new
+        beta = np.array(coef)
+        history.append(keyword_objective(d.yy - n * float((d.c + g) @ beta), beta, penalty, n))
+        if max_delta < tol:
+            converged = True
+            break
+    return beta, sweeps, converged, history
+
+
+class TestDescentOracle:
+    """regsel._descend and the ridge solve give the bits of the plain scipy calls they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_warm_started_path_matches_keyword_descent(self, seed):
+        frame, _ = generate_synthetic_panel(SyntheticSpec(n_days=300, seed=seed))
+        x, y, _ = lagged_design(frame, 1)
+        d = regsel._standardize(x, y)
+        lmax = d.lambda_max()
+        warm, unconverged = None, 0
+        for lam in np.geomspace(lmax, lmax * 1e-3, 12):
+            # the path of tune_penalized: lasso from the last lasso, SCAD from the lasso at its lambda
+            lasso_init = warm
+            for kind, max_iter in (("lasso", 1000), ("scad", 1000), ("scad", 3)):
+                penalty = PenaltySpec(kind, float(lam))
+                init = lasso_init if kind == "lasso" else warm
+                beta, sweeps, converged, history = regsel._descend(d, penalty, 1e-7, max_iter, init)
+                ref_beta, ref_sweeps, ref_converged, ref_history = keyword_descend(d, penalty, 1e-7, max_iter, init)
+                assert beta.tobytes() == ref_beta.tobytes()
+                assert (sweeps, converged) == (ref_sweeps, ref_converged)
+                assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+                unconverged += not converged
+                if kind == "lasso":
+                    warm = d.to_input_scale(beta)[0]
+        assert unconverged > 0  # some fits stop at max_iter
+
+    def test_ridge_solve_matches_per_column_cho_solve(self, rng):
+        """numcore.solve_spd on the ridge fit's system: 53 slopes, right-hand side [x'y, I]."""
+        n, m = 400, 53
+        x = 0.6 * rng.standard_normal((n, 1)) + rng.standard_normal((n, m))
+        x = x - x.mean(axis=0)
+        y = x[:, :5] @ rng.standard_normal(5) + rng.standard_normal(n)
+        a = x.T @ x + 3.0 * np.eye(m)
+        b = np.column_stack([x.T @ y, np.eye(m)])
+        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        expected = np.column_stack([scipy.linalg.cho_solve(factor, col, check_finite=False) for col in b.T])
+        solved = numcore.solve_spd(a, b)
+        assert solved.shape == (m, m + 1) and solved.flags.c_contiguous
+        assert solved.tobytes() == expected.tobytes()
+        assert numcore.solve_spd(a, b[:, 0]).tobytes() == expected[:, 0].tobytes()
 
 
 @st.composite
@@ -586,6 +689,12 @@ class TestSelectFeatures:
         for f in dataclasses.fields(report):
             assert getattr(loaded, f.name) == getattr(report, f.name), f.name
         assert (loaded.n_features, loaded.n_selected, loaded.selected_names) == (2, 1, ["u"])
+
+    def test_repeated_row_name_is_rejected(self):
+        """Selected or not, a name listed twice is an error: the report no longer maps names to rows."""
+        rows = [regsel.SelectionRow(name, 0.1, None, None, name == "u") for name in ("u", "v", "w", "v")]
+        with pytest.raises(ParameterError, match=r"^\['v'\] are listed more than once$"):
+            regsel.SelectionReport(rows, PenaltySpec("lasso", 0.2), "scad")
 
     def test_csv_columns(self):
         fit = RegressionFit(

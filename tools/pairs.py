@@ -32,10 +32,10 @@ import sys
 from pathlib import Path
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict]:
+def bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict, dict]:
     """(machine info, figures, result) of one perfbench run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     try:
         out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
     except subprocess.CalledProcessError as exc:
