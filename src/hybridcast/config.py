@@ -8,11 +8,11 @@ experiment):
         "source": "synthetic" | "csv",
         "csv_paths": ["panel.csv", ...],     # csv source
         "date_column": "date",
-        "target_column": "price",
+        "target_column": "price",            # the synthetic panel's only target
         "synthetic": { ...SyntheticSpec fields... }
       },
       "selection": {
-        "alpha": 0.05, "lag": 1,
+        "alpha": 0.05,
         "ridge_lambda": null,                # null -> n (heavy shrinkage)
         "scad_lambda": null,                 # null -> validation-tuned path
         "scad_a": 3.7, "grid_points": 20
@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .jsonio import from_json, read_json
 from .neural import ModelConfig
 from .pipeline import TimeSeriesFrame, align_series, load_csv_series
-from .synth import GroundTruth, SyntheticSpec, generate_synthetic_panel
+from .synth import TARGET_NAME, GroundTruth, SyntheticSpec, generate_synthetic_panel
 
 
 @dataclass
@@ -38,7 +38,7 @@ class DataConfig:
     source: str = "synthetic"
     csv_paths: list[str] = field(default_factory=list)
     date_column: str = "date"
-    target_column: str = "price"
+    target_column: str = TARGET_NAME
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
@@ -46,12 +46,14 @@ class DataConfig:
             raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {self.source!r}")
         if self.source == "csv" and not self.csv_paths:
             raise ConfigError("data.source is 'csv' but data.csv_paths is empty")
+        if self.source == "synthetic" and self.target_column != TARGET_NAME:
+            raise ConfigError(f"config.data.target_column: the synthetic panel's target is {TARGET_NAME!r}, "
+                              f"got {self.target_column!r}")
 
 
 @dataclass
 class SelectionConfig:
     alpha: float = 0.05
-    lag: int = 1
     ridge_lambda: float | None = None
     scad_lambda: float | None = None
     scad_a: float = 3.7
@@ -60,8 +62,6 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"selection.alpha must be in (0, 1), got {self.alpha}")
-        if self.lag < 1:
-            raise ConfigError(f"selection.lag must be >= 1, got {self.lag}")
         if self.scad_a <= 2:
             raise ConfigError(f"selection.scad_a must be > 2, got {self.scad_a}")
         if self.grid_points < 1:

@@ -8,6 +8,8 @@ document fails with the error class the caller names (ConfigError for
 the config, DataError for artifacts) and the dotted path of the
 offending key. A derived (init=False) dataclass field is written too, and
 a document that states one must agree with what the class derives.
+Documents hold JSON's own types only, with an ndarray as a list of
+numbers; none carries a date.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import os
 import tempfile
 import types
 import typing
-from datetime import date
 
 import numpy as np
 
@@ -55,13 +56,11 @@ def _encode(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, date):
-        return obj.isoformat()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> None:
-    """Write obj as canonical JSON; dataclasses go by their fields, ndarrays as lists, dates in ISO form."""
+    """Write obj as canonical JSON; dataclasses go by their fields, ndarrays as lists."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
@@ -83,8 +82,7 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
     return raw
 
 
-_EXPECTED = {dict: "an object", list: "a list", tuple: "a list",
-             date: "an ISO date", np.ndarray: "a list of numbers"}
+_EXPECTED = {dict: "an object", list: "a list", tuple: "a list", np.ndarray: "a list of numbers"}
 
 
 def _shown(value) -> str:
@@ -109,10 +107,10 @@ def from_json(cls, raw, where: str, error: type[Exception]):
 
     cls is a dataclass or an annotation its fields may carry: int,
     float (ints accepted), str, bool, X | None, list[T], tuple[T, ...],
-    dict (any object), dict[str, T], date (ISO text) and np.ndarray (a
-    list of numbers). A dataclass is built from its fields, recursing
-    into those that are dataclasses themselves; fields absent from the
-    document keep their defaults. An init=False field is never passed to
+    dict (any object), dict[str, T] and np.ndarray (a list of numbers).
+    A dataclass is built from its fields, recursing into those that are
+    dataclasses themselves; fields absent from the document keep their
+    defaults. An init=False field is never passed to
     the constructor; if the document states it, the value must equal what
     the built object derived. An unknown, missing, mistyped or disagreeing
     key, or a value the constructor rejects with ParameterError, raises
@@ -152,11 +150,6 @@ def from_json(cls, raw, where: str, error: type[Exception]):
         return values if origin is list else tuple(values)
     if origin is dict and isinstance(raw, dict):
         return {k: from_json(args[1], v, f"{where}.{k}", error) for k, v in raw.items()}
-    if cls is date and isinstance(raw, str):
-        try:
-            return date.fromisoformat(raw)
-        except ValueError:
-            pass
     if cls is np.ndarray and isinstance(raw, list) and all(_is(v, float) for v in raw):
         return np.array(raw, dtype=np.float64)
     if origin is None and _is(raw, cls):

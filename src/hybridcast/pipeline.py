@@ -714,21 +714,18 @@ def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
 # panel-level feature selection
 
 
-def lagged_design(frame: TimeSeriesFrame, lag: int = 1) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Design matrix of exogenous features lagged by `lag` against the target."""
-    if lag < 1:
-        raise ParameterError(f"lag must be >= 1, got {lag}")
-    if len(frame) <= lag + 2:
-        raise InsufficientDataError(f"panel has {len(frame)} rows; too few for lag {lag}")
+def lagged_design(frame: TimeSeriesFrame) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Design matrix of the exogenous features on day t against the target on day t + 1."""
+    if len(frame) <= 3:
+        raise InsufficientDataError(f"panel has {len(frame)} rows; too few for a one-day lag")
     names = frame.feature_names
-    x = frame.values(names)[:-lag]
-    y = frame.target[lag:]
+    x = frame.values(names)[:-1]
+    y = frame.target[1:]
     return x, y, names
 
 
 def select_panel_features(
     frame: TimeSeriesFrame,
-    lag: int = 1,
     alpha: float = 0.05,
     ridge_lambda: float | None = None,
     scad_lambda: float | None = None,
@@ -744,7 +741,7 @@ def select_panel_features(
     A SCAD fit that stops at its sweep limit unconverged raises a
     RuntimeWarning naming lambda and the sweep count.
     """
-    x, y, names = lagged_design(frame, lag)
+    x, y, names = lagged_design(frame)
     n = len(y)
 
     x_mean = x.mean(axis=0)

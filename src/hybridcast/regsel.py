@@ -30,6 +30,8 @@ from .errors import ParameterError, ShapeError, SingularityError
 from .jsonio import csv_text
 
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
+TOL, MAX_ITER = 1e-7, 1000  # coordinate descent: convergence threshold on a sweep's largest move, sweep limit
+VAL_FRACTION, PARSIMONY_RATIO = 0.1, 1.15  # tune_penalized: held-out share of rows, slack on the least validation MSE
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,8 @@ def penalized_fit(
     x,
     y,
     penalty: PenaltySpec,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
     beta_init: np.ndarray | None = None,
 ) -> RegressionFit:
     """Lasso or SCAD fit by cyclic coordinate descent with covariance updates.
@@ -405,7 +407,7 @@ def _lasso_then(d: _Standardized, kind: str, lam: float, a: float, tol: float, m
     return lasso, (lasso if kind == "lasso" else _fit(d, PenaltySpec("scad", lam, a), tol, max_iter, lasso.beta))
 
 
-def scad_fit(x, y, lam: float, a: float = 3.7, tol: float = 1e-7, max_iter: int = 1000) -> RegressionFit:
+def scad_fit(x, y, lam: float, a: float = 3.7, tol: float = TOL, max_iter: int = MAX_ITER) -> RegressionFit:
     """SCAD at a fixed lambda, warm-started from the lasso at that lambda on the same standardized design."""
     return _lasso_then(_sparse_design(x, y), "scad", lam, a, tol, max_iter, None)[1]
 
@@ -421,34 +423,28 @@ def tune_penalized(
     kind: str,
     a: float = 3.7,
     n_points: int = 20,
-    val_fraction: float = 0.1,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
-    parsimony_ratio: float = 1.15,
 ) -> tuple[RegressionFit, float, np.ndarray, np.ndarray]:
     """Pick lambda on a warm-started path, scored by chronological validation MSE.
 
-    The last `val_fraction` of the rows is held out (the data is assumed
+    The last VAL_FRACTION of the rows is held out (the data is assumed
     time ordered). The training rows are standardized once; the grid is
     `n_points` log-spaced values from their lambda_max down to
     1e-3 * lambda_max, and every path fit runs on that design, giving the
     iterates penalized_fit would give at the same lambda and warm start;
     each SCAD fit starts from the lasso at its lambda, as in scad_fit.
-    Among grid points whose validation MSE is within parsimony_ratio of
+    Among grid points whose validation MSE is within PARSIMONY_RATIO of
     the minimum, the largest lambda wins (a one-standard-error-style
-    rule; 1.0 recovers the pure argmin).
+    rule). Every fit runs to TOL within MAX_ITER sweeps.
     Returns (refit on all rows at the winning lambda, winning lambda,
     grid, validation MSEs).
     """
     if kind not in ("lasso", "scad"):
         raise ParameterError(f"tune_penalized handles lasso/scad, got {kind!r}")
-    if parsimony_ratio < 1.0:
-        raise ParameterError(f"parsimony_ratio must be >= 1, got {parsimony_ratio}")
     if n_points < 1:
         raise ParameterError(f"n_points must be >= 1, got {n_points}")
     x, y = _check_xy(x, y)
     n = x.shape[0]
-    n_val = max(1, int(round(val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     if n - n_val < 2:
         raise ParameterError(f"not enough rows ({n}) to hold out {n_val} for validation")
     x_tr, y_tr = x[: n - n_val], y[: n - n_val]
@@ -462,16 +458,16 @@ def tune_penalized(
     lasso_warm = None
     for i, lam in enumerate(grid):
         # warm starts pass through the input scale, as with penalized_fit
-        lasso, fit = _lasso_then(d, kind, float(lam), a, tol, max_iter, lasso_warm)
+        lasso, fit = _lasso_then(d, kind, float(lam), a, TOL, MAX_ITER, lasso_warm)
         lasso_warm = lasso.beta
         err = y_val - (fit.beta0 + x_val @ fit.beta)
         val_mse[i] = float(np.mean(err**2))
         path_betas.append(fit.beta)
 
-    cutoff = float(val_mse.min()) * parsimony_ratio
+    cutoff = float(val_mse.min()) * PARSIMONY_RATIO
     best = int(np.argmax(val_mse <= cutoff))  # grid is descending, so first hit = largest lambda
     best_lam = float(grid[best])
-    final = penalized_fit(x, y, PenaltySpec(kind, best_lam, a), tol, max_iter, beta_init=path_betas[best])
+    final = penalized_fit(x, y, PenaltySpec(kind, best_lam, a), beta_init=path_betas[best])
     return final, best_lam, grid, val_mse
 
 

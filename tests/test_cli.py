@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -41,6 +42,18 @@ def run(*argv):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def drop_column(cfg, name):
+    """Point a one-CSV config at a copy of its panel without column `name`."""
+    (path,) = cfg["data"]["csv_paths"]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(name)
+    other = os.path.splitext(path)[0] + "-narrow.csv"
+    with open(other, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(r[:j] + r[j + 1:] for r in rows)
+    cfg["data"]["csv_paths"] = [other]
 
 
 class TestSynthCommand:
@@ -177,7 +190,7 @@ class TestTrainEvaluateCommands:
         [
             ("synthetic", lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
             ("synthetic", lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
-            ("synthetic", lambda cfg: cfg["data"]["synthetic"].update(macro=12, financial_energy=26), "macro_13"),
+            ("csv", lambda cfg: drop_column(cfg, "macro_13"), "macro_13"),
             (
                 "csv",
                 lambda cfg: cfg["data"].update(target_column="macro_01"),
@@ -190,7 +203,7 @@ class TestTrainEvaluateCommands:
         """A checkpoint scored against another train_fraction, panel or target, or lacking columns, fails loudly."""
         out = str(tmp_path / "o")
         cfg = json.loads(json.dumps(TINY_CONFIG))
-        if source == "csv":  # the same columns, so only the target tells the two panels apart
+        if source == "csv":  # the synthetic panel's CSV, whose target or columns an edit can change
             assert run("synth", "--config", tiny_config, "--out", out) == 0
             cfg["data"] = {"source": "csv", "csv_paths": [os.path.join(out, "panel.csv")], "target_column": "price"}
         trained = tmp_path / "trained.json"
@@ -535,6 +548,12 @@ def selecting(*names, unselected=()):
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
         ("config", {"model": {"loss": "mse"}}, 1, "config.model.loss"),
         ("config", {"model": {"init_scheme": "zeros"}}, 1, "config.model.init_scheme"),
+        ("config", {"data": {"target_column": "close"}}, 1, "config.data.target_column"),
+        ("config", {"data": {"synthetic": {"macro": 12}}}, 1, "config.data.synthetic.macro"),
+        ("config", {"data": {"synthetic": {"lag": 2}}}, 1, "config.data.synthetic.lag"),
+        ("config", {"data": {"synthetic": {"start_date": "2019-03-04"}}}, 1, "config.data.synthetic.start_date"),
+        ("config", {"data": {"synthetic": {"exog_ar": 0.9}}}, 1, "config.data.synthetic.exog_ar"),
+        ("config", {"selection": {"lag": 2}}, 1, "config.selection.lag"),
         ("rr_selection.json", {}, 2, "rr_selection.rows is missing"),
         ("rr_selection.json", [1], 2, "rr_selection.json"),
         ("rr_selection.json", BAD_ROW_SELECTION, 2, "rr_selection.rows[0].selected"),
@@ -564,7 +583,8 @@ def selecting(*names, unselected=()):
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
-        "config-model-init-scheme",
+        "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-macro",
+        "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",
         "selection-width-disagrees-with-rows", "selection-old-penalty-format",

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridcast.config import DataConfig, ExperimentConfig, load_experiment_config, load_panel
+from hybridcast.config import DataConfig, ExperimentConfig, SelectionConfig, load_experiment_config, load_panel
 from hybridcast.errors import ConfigError, DataError, MissingInputError
 from hybridcast.jsonio import from_json
 
@@ -16,6 +18,19 @@ def test_defaults_give_synthetic_experiment():
     frame, truth = load_panel(config.data)
     assert truth is not None
     assert len(frame) == 1060
+
+
+def test_readme_config_block_loads(tmp_path):
+    """The README's documented config, its // comments stripped, is a valid config of the default experiment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"\s*//.*", "", block))
+    config = load_experiment_config(str(path))
+    default = ExperimentConfig()
+    assert config.data.synthetic == default.data.synthetic
+    assert config.selection == SelectionConfig()
+    assert (config.model, config.seeds, config.train_fraction) == (default.model, default.seeds, default.train_fraction)
 
 
 def test_unknown_section_rejected():

@@ -6,7 +6,6 @@ import collections
 import dataclasses
 import os
 import typing
-from datetime import date
 
 import numpy as np
 import pytest
@@ -18,11 +17,12 @@ from hybridcast.neural import ModelConfig
 from hybridcast.pipeline import StandardScaler
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 
-SPEC = SyntheticSpec(n_days=50, seed=9, weights=(1.0, -1.0, 2.0, 0.5, 1.5), start_date=date(2019, 3, 4))
+SPEC = SyntheticSpec(n_days=50, seed=9, weights=(1.0, -1.0, 2.0, 0.5, 1.5), target_base=0.0)
 
 DOCUMENTS = {
     "ExperimentConfig": ExperimentConfig(
-        data=DataConfig(date_column="day", target_column="close", synthetic=SPEC),
+        data=DataConfig(source="csv", csv_paths=["close.csv", "macro.csv"], date_column="day", target_column="close",
+                        synthetic=SPEC),
         selection=SelectionConfig(alpha=0.1, ridge_lambda=5.0, scad_a=3.0, grid_points=4),
         model=ModelConfig(variant="cnn_lstm", epochs=12, learning_rate=0.01, seed=3),
         seeds=[4, 5],

@@ -473,7 +473,7 @@ class TestDescentOracle:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_warm_started_path_matches_keyword_descent(self, seed):
         frame, _ = generate_synthetic_panel(SyntheticSpec(n_days=300, seed=seed))
-        x, y, _ = lagged_design(frame, 1)
+        x, y, _ = lagged_design(frame)
         d = regsel._standardize(x, y)
         lmax = d.lambda_max()
         warm, unconverged = None, 0
@@ -605,7 +605,7 @@ class TestTunePenalized:
         its last bits on this panel.
         """
         frame, _ = generate_synthetic_panel(SyntheticSpec(seed=0))
-        x, y, _ = lagged_design(frame, 1)
+        x, y, _ = lagged_design(frame)
         n_tr = len(y) - int(round(0.1 * len(y)))
         x_tr, y_tr = x[:n_tr], y[:n_tr]
         x_mean = x_tr.mean(axis=0)

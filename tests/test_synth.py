@@ -8,17 +8,13 @@ from hybridcast.synth import GroundTruth, SyntheticSpec, generate_synthetic_pane
 
 
 class TestSpecValidation:
-    def test_cluster_sizes_must_sum(self):
-        with pytest.raises(ParameterError):
-            SyntheticSpec(macro=10)
-
     def test_support_in_range(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(true_support=(60,))
 
     def test_too_few_days(self):
         with pytest.raises(ParameterError):
-            SyntheticSpec(n_days=5, lag=1)
+            SyntheticSpec(n_days=5)
 
     def test_weights_length_checked(self):
         with pytest.raises(ParameterError):
@@ -59,7 +55,7 @@ class TestGeneration:
     def test_deterministic_copy_when_noiseless(self):
         spec = SyntheticSpec(
             n_days=30, seed=4, true_support=(7,), weights=(1.0,),
-            noise_sd=0.0, target_ar=0.0, target_base=0.0, lag=1,
+            noise_sd=0.0, target_ar=0.0, target_base=0.0,
         )
         frame, truth = generate_synthetic_panel(spec)
         x = frame.columns[truth.support_names[0]]
@@ -79,7 +75,7 @@ class TestOlsSupportDominance:
         hits = 0
         for seed in range(20):
             frame, truth = generate_synthetic_panel(SyntheticSpec(seed=seed))
-            x, y, names = lagged_design(frame, lag=1)
+            x, y, names = lagged_design(frame)
             fit = regsel.ols_fit(x, y)
             support = set(truth.support_indices)
             in_support = np.array([abs(fit.beta[j]) for j in sorted(support)])
@@ -93,7 +89,7 @@ class TestRidgeKeepsBroadSet:
     def test_majority_significant_on_predictive_panel(self, default_panel):
         """Heavy-shrinkage ridge t-tests flag most of the correlated universe."""
         frame, _ = default_panel
-        x, y, names = lagged_design(frame, lag=1)
+        x, y, names = lagged_design(frame)
         xs = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         fit = regsel.ridge_fit(xs, y, lam=float(len(y)))
         report = regsel.select_features(fit, names, alpha=0.05, dataset_label="rr")
