@@ -169,8 +169,7 @@ def cmd_train(args) -> int:
         },
     )
     atomic_write_text(
-        os.path.join(out, "predictions.csv"),
-        pipeline.predictions_csv_text(result.dates, result.actuals, result.predictions),
+        os.path.join(out, "predictions.csv"), pipeline.predictions_csv_text(result.test, result.predictions)
     )
     m = result.metrics
     print(f"{m.label}: mse={m.mse:.6f} mae={m.mae:.6f} mape={m.mape:.6f} ({runtime:.1f}s)")
@@ -186,10 +185,7 @@ def cmd_evaluate(args) -> int:
     row, preds = pipeline.score_forecasts(model, split, frame.target_name)
     _, _, test_b = split
     write_json(os.path.join(out, "eval_metrics.json"), row)
-    atomic_write_text(
-        os.path.join(out, "eval_predictions.csv"),
-        pipeline.predictions_csv_text(test_b.target_dates, test_b.targets_orig, preds),
-    )
+    atomic_write_text(os.path.join(out, "eval_predictions.csv"), pipeline.predictions_csv_text(test_b, preds))
     print(f"{row.label}: mse={row.mse:.6f} mae={row.mae:.6f} mape={row.mape:.6f}")
     return EXIT_OK
 

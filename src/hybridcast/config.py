@@ -6,8 +6,8 @@ experiment):
     {
       "data": {
         "source": "synthetic" | "csv",
-        "csv_paths": ["panel.csv", ...],     # csv source
-        "date_column": "date",
+        "csv_paths": ["panel.csv", ...],     # csv source only
+        "date_column": "date",               # csv source only
         "target_column": "price",            # the synthetic panel's only target
         "synthetic": { ...SyntheticSpec fields... }
       },
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .jsonio import from_json, read_json
 from .neural import ModelConfig
 from .pipeline import TimeSeriesFrame, align_series, load_csv_series
@@ -43,12 +43,14 @@ class DataConfig:
 
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {self.source!r}")
+            raise ParameterError(f"source must be 'synthetic' or 'csv', got {self.source!r}")
         if self.source == "csv" and not self.csv_paths:
-            raise ConfigError("data.source is 'csv' but data.csv_paths is empty")
-        if self.source == "synthetic" and self.target_column != TARGET_NAME:
-            raise ConfigError(f"config.data.target_column: the synthetic panel's target is {TARGET_NAME!r}, "
-                              f"got {self.target_column!r}")
+            raise ParameterError("source is 'csv' but csv_paths is empty")
+        if self.source == "synthetic":  # it reads no CSV, and its panel's target is fixed
+            for key, fixed in (("csv_paths", []), ("date_column", "date"), ("target_column", TARGET_NAME)):
+                if getattr(self, key) != fixed:
+                    raise ParameterError(f"{key} must be {fixed!r} on the synthetic source, "
+                                         f"got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -61,11 +63,11 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"selection.alpha must be in (0, 1), got {self.alpha}")
+            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.scad_a <= 2:
-            raise ConfigError(f"selection.scad_a must be > 2, got {self.scad_a}")
+            raise ParameterError(f"scad_a must be > 2, got {self.scad_a}")
         if self.grid_points < 1:
-            raise ConfigError(f"selection.grid_points must be >= 1, got {self.grid_points}")
+            raise ParameterError(f"grid_points must be >= 1, got {self.grid_points}")
 
 
 @dataclass
@@ -78,19 +80,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ConfigError("seeds must be a nonempty list")
+            raise ParameterError("seeds must be a nonempty list")
         repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
         if repeated is not None:
-            raise ConfigError(f"seeds must be distinct: seed {repeated} is repeated")
+            raise ParameterError(f"seeds must be distinct: seed {repeated} is repeated")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ParameterError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 def load_experiment_config(path: str | None) -> ExperimentConfig:
     """Parse a config file; None gives the all-defaults synthetic experiment.
 
     Every key is type-checked and unknown keys are rejected; a bad value
-    raises ConfigError naming its dotted path, e.g. config.model.epochs.
+    raises ConfigError naming its dotted path, e.g. config.model.epochs,
+    or, for a value a section's checks reject, the section and then the
+    key, e.g. config.selection: alpha must be in (0, 1).
     """
     if path is None:
         return ExperimentConfig()

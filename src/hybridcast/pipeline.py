@@ -2,8 +2,11 @@
 
 Stages: load -> align (forward fill) -> standardize (train-span stats
 only) -> window -> chronological split -> train -> predict ->
-de-standardize -> evaluate. The comparison harness trains the five
-labeled selection/architecture combinations and reports metrics in a
+de-standardize -> evaluate. Training runs through one cell runner,
+run_cells: a cell is (label, variant, prepare_split result), and each
+(seed, cell) yields a TrainResult holding the model, its test-span
+forecasts and their metrics row. train_model is its one-cell case;
+compare_variants is its five-cell case and reports the metrics in a
 fixed table layout.
 """
 from __future__ import annotations
@@ -37,15 +40,6 @@ from .jsonio import atomic_write_text, csv_text, from_json
 from .neural import EncodedArray, ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
 from .regsel import SelectionReport
 
-# (label, variant, which selection feeds it)
-COMPARE_CELLS = (
-    ("RR-CNN", "cnn", "rr"),
-    ("RR-LSTM", "lstm", "rr"),
-    ("RR-CNN-LSTM", "cnn_lstm", "rr"),
-    ("RR-DILATED_CNN-LSTM", "dilated_cnn_lstm", "rr"),
-    ("SCAD-DILATED_CNN-LSTM", "dilated_cnn_lstm", "scad"),
-)
-COMPARE_LABELS = tuple(label for label, _, _ in COMPARE_CELLS)
 CELL_SEED_STRIDE = 7919  # per-cell rng offset inside one comparison seed
 
 
@@ -377,13 +371,16 @@ def split_index(n: int, train_fraction: float) -> int:
 
 
 def chrono_split(batch: WindowBatch, train_fraction: float = 0.9) -> tuple[WindowBatch, WindowBatch]:
-    """First split_index(n, train_fraction) samples train, the rest test; order kept."""
+    """First split_index(n, train_fraction) samples train, the rest test; order kept.
+
+    Each side copies its inputs, so a kept test batch does not keep every window alive.
+    """
     n = len(batch)
     k = split_index(n, train_fraction)
 
     def take(sl: slice) -> WindowBatch:
         return WindowBatch(
-            inputs=batch.inputs[sl],
+            inputs=batch.inputs[sl].copy(),
             targets_std=batch.targets_std[sl],
             targets_orig=batch.targets_orig[sl],
             target_dates=batch.target_dates[sl],
@@ -508,12 +505,13 @@ class MetricsReport:
 
 @dataclass
 class TrainResult:
+    """One trained cell: model, scaler, per-epoch training loss, test batch, test forecasts and their row."""
+
     model: ForecastModel
     scaler: StandardScaler
     history: list[float]
     metrics: MetricsRow
-    dates: list[date]
-    actuals: np.ndarray
+    test: WindowBatch
     predictions: np.ndarray
 
 
@@ -565,43 +563,46 @@ def restrict_features(frame: TimeSeriesFrame, selection: SelectionReport | None)
     return [frame.target_name] + chosen
 
 
-def score_forecasts(model: ForecastModel, split, target_name: str, label: str | None = None):
+def score_forecasts(model: ForecastModel, split, target_name: str):
     """Test-span forecasts of a prepare_split result on the original scale, and their metrics row."""
     scaler, _, test_b = split
     with np.errstate(over="ignore", invalid="ignore"):  # evaluate reports non-finite forecasts
         preds = scaler.inverse_column(target_name, model.predict(test_b.inputs))
     m = evaluate(preds, test_b.targets_orig)
-    row = MetricsRow(label or model.config.variant, m.mse, m.mae, m.mape, model.config.seed)
-    return row, preds
+    return MetricsRow(model.config.variant, m.mse, m.mae, m.mape, model.config.seed), preds
 
 
-def fit_and_score(config: ModelConfig, split, target_name: str, label: str | None = None) -> TrainResult:
-    """Train a fresh model on the training part of a prepare_split result and score it."""
-    scaler, train_b, test_b = split
-    model = ForecastModel(config, n_features=len(scaler.names))
-    history = fit_arrays(model, train_b.inputs, train_b.targets_std)
-    row, preds = score_forecasts(model, split, target_name, label)
-    return TrainResult(
-        model=model,
-        scaler=scaler,
-        history=history,
-        metrics=row,
-        dates=list(test_b.target_dates),
-        actuals=test_b.targets_orig.copy(),
-        predictions=preds,
-    )
+def run_cells(cells, config: ModelConfig, seeds: list[int], target_name: str):
+    """Train every cell from every seed, yielding one TrainResult each: seeds in order, cells in order within one.
+
+    A cell is (label, variant, prepare_split result); cells sharing a
+    split share its scaler and batches. Cell k trains a fresh `variant`
+    model with config's other settings from seed s + k * CELL_SEED_STRIDE,
+    so cells are independent and reproducible, and its metrics row is
+    labelled (label, s). Only the dilated variant keeps config.dilation.
+    A generator: a caller that keeps only the rows holds one model at a
+    time.
+    """
+    for seed in seeds:
+        for k, (label, variant, split) in enumerate(cells):
+            dilation = config.dilation if variant == "dilated_cnn_lstm" else None
+            cfg = replace(config, variant=variant, dilation=dilation, seed=seed + k * CELL_SEED_STRIDE)
+            scaler, train_b, test_b = split
+            model = ForecastModel(cfg, n_features=len(scaler.names))
+            history = fit_arrays(model, train_b.inputs, train_b.targets_std)
+            row, preds = score_forecasts(model, split, target_name)
+            yield TrainResult(model, scaler, history, replace(row, label=label, seed=seed), test_b, preds)
 
 
 def train_model(
     frame: TimeSeriesFrame,
     selection: SelectionReport | None,
     config: ModelConfig,
-    label: str | None = None,
     train_fraction: float = 0.9,
 ) -> TrainResult:
-    """Scale, window, split, train, and score one model on the panel."""
+    """Scale, window, split, train, and score one model on the panel: run_cells on one cell labelled by its variant."""
     split = prepare_split(frame, restrict_features(frame, selection), config.window, train_fraction)
-    return fit_and_score(config, split, frame.target_name, label)
+    return next(run_cells([(config.variant, config.variant, split)], config, [config.seed], frame.target_name))
 
 
 def compare_variants(
@@ -612,45 +613,39 @@ def compare_variants(
     seeds: list[int],
     train_fraction: float = 0.9,
 ) -> MetricsReport:
-    """Train the five labeled combinations per seed and aggregate.
+    """Train the five labeled cells per seed through run_cells and aggregate.
 
-    Each selection is prepared once and shared by its cells. Each
-    (cell, seed) gets its own derived rng stream (seed plus a fixed
-    per-cell offset), so cells are independent and reproducible. The win
+    Each selection is prepared once and shared by its cells. The win
     rate counts seeds where the dilated variant beats plain CNN-LSTM on
     test MSE (informational).
     """
     if not seeds:
         raise ParameterError("need at least one seed")
-    splits = {
-        key: prepare_split(frame, restrict_features(frame, sel), base_config.window, train_fraction)
-        for key, sel in (("rr", rr_selection), ("scad", scad_selection))
-    }
+    rr, scad = (
+        prepare_split(frame, restrict_features(frame, sel), base_config.window, train_fraction)
+        for sel in (rr_selection, scad_selection)
+    )
+    cells = [
+        ("RR-CNN", "cnn", rr),
+        ("RR-LSTM", "lstm", rr),
+        ("RR-CNN-LSTM", "cnn_lstm", rr),
+        ("RR-DILATED_CNN-LSTM", "dilated_cnn_lstm", rr),
+        ("SCAD-DILATED_CNN-LSTM", "dilated_cnn_lstm", scad),
+    ]
+    per_seed = [result.metrics for result in run_cells(cells, base_config, seeds, frame.target_name)]
 
-    per_seed: list[MetricsRow] = []
-    for seed in seeds:
-        for k, (label, variant, sel_key) in enumerate(COMPARE_CELLS):
-            cfg = replace(
-                base_config,
-                variant=variant,
-                dilation=base_config.dilation if variant == "dilated_cnn_lstm" else None,
-                seed=seed + k * CELL_SEED_STRIDE,
-            )
-            result = fit_and_score(cfg, splits[sel_key], frame.target_name, label)
-            per_seed.append(replace(result.metrics, seed=seed))
-
-    by_label = {label: [r for r in per_seed if r.label == label] for label in COMPARE_LABELS}
+    by_label = {label: [r for r in per_seed if r.label == label] for label, _, _ in cells}
     wins = sum(d.mse < p.mse for d, p in zip(by_label["RR-DILATED_CNN-LSTM"], by_label["RR-CNN-LSTM"]))
 
     rows = [
         MetricsRow(
             label=label,
-            mse=float(np.mean([r.mse for r in by_label[label]])),
-            mae=float(np.mean([r.mae for r in by_label[label]])),
-            mape=float(np.mean([r.mape for r in by_label[label]])),
+            mse=float(np.mean([r.mse for r in group])),
+            mae=float(np.mean([r.mae for r in group])),
+            mape=float(np.mean([r.mape for r in group])),
             seed=-1,
         )
-        for label in COMPARE_LABELS
+        for label, group in by_label.items()
     ]
     return MetricsReport(
         rows=rows, per_seed=per_seed, seeds=list(seeds), dilated_vs_plain_win_rate=wins / len(seeds)
@@ -773,8 +768,10 @@ def select_panel_features(
 # prediction file
 
 
-def predictions_csv_text(dates: list[date], actuals: np.ndarray, predictions: np.ndarray) -> str:
+def predictions_csv_text(test_batch: WindowBatch, predictions: np.ndarray) -> str:
+    """date, actual, predicted per test target, each number as its repr."""
     rows = (
-        [d.isoformat(), repr(float(a)), repr(float(p))] for d, a, p in zip(dates, actuals, predictions)
+        [d.isoformat(), repr(float(a)), repr(float(p))]
+        for d, a, p in zip(test_batch.target_dates, test_batch.targets_orig, predictions)
     )
     return csv_text(["date", "actual", "predicted"], rows)

@@ -548,7 +548,13 @@ def selecting(*names, unselected=()):
         ("config", {"model": {"nonsense": 1}}, 1, "config.model.nonsense"),
         ("config", {"model": {"loss": "mse"}}, 1, "config.model.loss"),
         ("config", {"model": {"init_scheme": "zeros"}}, 1, "config.model.init_scheme"),
-        ("config", {"data": {"target_column": "close"}}, 1, "config.data.target_column"),
+        ("config", {"data": {"target_column": "close"}}, 1, "config.data: target_column must be 'price'"),
+        ("config", {"data": {"csv_paths": ["/nonexistent.csv"]}}, 1, "config.data: csv_paths must be []"),
+        ("config", {"data": {"date_column": "day"}}, 1, "config.data: date_column must be 'date'"),
+        ("config", {"data": {"source": "csv"}}, 1, "config.data: source is 'csv' but csv_paths is empty"),
+        ("config", {"selection": {"alpha": 2}}, 1, "error: config.selection: alpha must be in (0, 1), got 2"),
+        ("config", {"selection": {"grid_points": 0}}, 1, "config.selection: grid_points must be >= 1"),
+        ("config", {"train_fraction": 1.5}, 1, "error: config: train_fraction must be in (0, 1), got 1.5"),
         ("config", {"data": {"synthetic": {"macro": 12}}}, 1, "config.data.synthetic.macro"),
         ("config", {"data": {"synthetic": {"lag": 2}}}, 1, "config.data.synthetic.lag"),
         ("config", {"data": {"synthetic": {"start_date": "2019-03-04"}}}, 1, "config.data.synthetic.start_date"),
@@ -583,7 +589,9 @@ def selecting(*names, unselected=()):
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
-        "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-macro",
+        "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-csv-paths",
+        "config-synthetic-date-column", "config-csv-without-paths", "config-alpha-out-of-range",
+        "config-grid-points-zero", "config-train-fraction-out-of-range", "config-synthetic-macro",
         "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",

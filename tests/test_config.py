@@ -33,6 +33,15 @@ def test_readme_config_block_loads(tmp_path):
     assert (config.model, config.seeds, config.train_fraction) == (default.model, default.seeds, default.train_fraction)
 
 
+def test_readme_csv_block_loads():
+    """The README's CSV data section is a valid config of the csv source."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    data = from_json(ExperimentConfig, json.loads(block), "config", ConfigError).data
+    assert (data.source, data.date_column, data.target_column) == ("csv", "date", "close")
+    assert data.csv_paths == ["prices.csv", "indicators.csv"]
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="config.bogus"):
         from_json(ExperimentConfig, {"bogus": {}}, "config", ConfigError)

@@ -1,5 +1,5 @@
 """tools/pairs.py writes its report and then fails loudly on any broken benchmark run; tools/counts.py
-fails on any traced count that differs."""
+fails on any traced count that differs, and tools/artifacts.py on any output file that differs."""
 import importlib
 import importlib.util
 import json
@@ -136,3 +136,53 @@ def test_counts_flags_a_metric_missing_from_one_side(counts):
     parent = {"metrics": {"a.calls": {"value": 3, "unit": "count"}}}
     lines, differ = counts.count_lines("w", ["a.calls"], parent, {"metrics": {}})
     assert (lines, differ) == (["w a.calls: parent 3, change None  DIFFERS"], 1)
+
+
+@pytest.fixture
+def artifacts(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("artifacts")
+
+
+def canned_cli(outputs: dict):
+    """A stand-in for subprocess.run: each CLI command writes outputs[(checkout name, command)], name -> bytes."""
+    commands = []
+
+    def run(cmd, cwd, env, **kw):
+        root = Path(cwd)
+        assert env["PYTHONPATH"] == str(root / "src")
+        out = Path(cmd[cmd.index("--out") + 1])
+        out.mkdir(exist_ok=True)
+        commands.append((root.name, out.name, cmd[3]))
+        for name, data in outputs.get((root.name, cmd[3]), {}).items():
+            (out / name).write_bytes(data)
+        return subprocess.CompletedProcess(cmd, 0)
+
+    return run, commands
+
+
+@pytest.mark.parametrize(
+    "change_train,code,verdict",
+    [({"model.json": b"m"}, 0, "identical"), ({"model.json": b"M"}, 1, "DIFFERS"), ({}, 1, "only in the parent")],
+    ids=["same", "one-byte-differs", "one-side-lacks-a-file"],
+)
+def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_path, monkeypatch, capsys,
+                                                                change_train, code, verdict):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    outputs = {(side, "synth"): {"panel.csv": b"date,price\n"} for side in ("parent", "change")}
+    outputs[("parent", "train")] = {"model.json": b"m"}
+    outputs[("change", "train")] = change_train
+    run, commands = canned_cli(outputs)
+    monkeypatch.setattr(subprocess, "run", run)
+    assert artifacts.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]) == code
+    steps = [(out, argv[0]) for out, argv in artifacts.STEPS]
+    assert commands == [("parent", *step) for step in steps] + [("change", *step) for step in steps]
+    assert steps[:5] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
+    assert artifacts.STEPS[5] == ("cnn", ["train", "--variant", "cnn", "--all-features"])
+    assert capsys.readouterr().out.splitlines() == [
+        "c9/model.json: " + verdict,
+        "c9/panel.csv: identical",
+        "cnn/model.json: " + verdict,
+        f"{code * 2} of 3 output files differ",
+    ]

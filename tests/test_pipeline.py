@@ -32,6 +32,7 @@ from hybridcast.pipeline import (
     load_csv_series,
     make_checkpoint,
     make_windows,
+    run_cells,
     score_forecasts,
     train_model,
 )
@@ -331,6 +332,9 @@ class TestChronoSplit:
         assert max(train.target_dates) < min(test.target_dates)
         assert list(train.target_dates) + list(test.target_dates) == list(batch.target_dates)
         assert np.array_equal(np.vstack([train.inputs, test.inputs]), batch.inputs)
+        # each side owns its inputs: a kept test batch holds no other window
+        assert not np.shares_memory(test.inputs, batch.inputs)
+        assert not np.shares_memory(train.inputs, batch.inputs)
 
     def test_too_few_samples(self):
         batch = windows(simple_frame(n=6))
@@ -528,9 +532,65 @@ class TestCheckpoint:
         assert scaler.names == result.scaler.names == ["price", "macro_01", "fin_02"]
         assert scaler.mean.tobytes() == result.scaler.mean.tobytes()
         assert scaler.sd.tobytes() == result.scaler.sd.tobytes()
-        assert test_b.target_dates == result.dates
+        assert test_b.target_dates == result.test.target_dates
         _, preds = score_forecasts(model, split, frame.target_name)
         assert preds.tobytes() == result.predictions.tobytes()
+
+
+class TestRunCells:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_train_model_is_the_one_cell_run(self, small_panel, variant):
+        """train_model equals run_cells on its one cell bit for bit: parameters, history, forecasts and row."""
+        frame, _ = small_panel
+        selection = selection_of(frame, ["macro_01", "fin_02"])
+        cfg = tiny_train_config(variant=variant, epochs=2)
+        result = train_model(frame, selection, cfg)
+        split = pipeline.prepare_split(frame, ["price", "macro_01", "fin_02"], cfg.window, 0.9)
+        (cell,) = run_cells([(variant, variant, split)], cfg, [cfg.seed], frame.target_name)
+        assert cell.model.config == result.model.config == cfg
+        assert cell.model.params.keys() == result.model.params.keys()
+        for name, p in result.model.params.items():
+            assert cell.model.params[name].tobytes() == p.tobytes(), name
+        assert repr(cell.history) == repr(result.history)
+        assert cell.predictions.tobytes() == result.predictions.tobytes()
+        assert repr(cell.metrics) == repr(result.metrics)
+        assert (result.metrics.label, result.metrics.seed) == (variant, cfg.seed)
+
+    def test_cell_k_trains_from_seed_plus_stride(self, small_panel):
+        """Seeds in order, cells in order within a seed; cell k's model seed is s + 7919k, its row's seed s."""
+        frame, _ = small_panel
+        split = pipeline.prepare_split(frame, ["price", "macro_01"], 5, 0.9)
+        cells = [("a", "lstm", split), ("b", "cnn", split), ("c", "dilated_cnn_lstm", split)]
+        results = list(run_cells(cells, tiny_train_config(epochs=0, dilation=3), [4, -2], frame.target_name))
+        assert pipeline.CELL_SEED_STRIDE == 7919
+        assert [(r.metrics.label, r.metrics.seed) for r in results] == [
+            ("a", 4), ("b", 4), ("c", 4), ("a", -2), ("b", -2), ("c", -2),
+        ]
+        assert [r.model.config.seed for r in results] == [s + 7919 * k for s in (4, -2) for k in range(3)]
+        assert [r.model.config.variant for r in results] == ["lstm", "cnn", "dilated_cnn_lstm"] * 2
+        assert [r.model.config.dilation for r in results] == [1, 1, 3] * 2
+        assert all(r.test is split[2] and r.scaler is split[0] for r in results)
+
+    def test_compare_rows_score_the_kept_forecasts(self, small_panel, monkeypatch):
+        """Every per-seed row of compare_variants is evaluate() of its cell's forecasts, by repr."""
+        frame, _ = small_panel
+        rr, scad = pipeline.select_panel_features(frame, grid_points=8)
+        kept = []
+        run = pipeline.run_cells
+
+        def keeping(*args):
+            for result in run(*args):
+                kept.append(result)
+                yield result
+
+        monkeypatch.setattr(pipeline, "run_cells", keeping)
+        report = pipeline.compare_variants(frame, rr, scad, tiny_train_config(epochs=1), seeds=[1, 2])
+        assert len(kept) == len(report.per_seed) == 10
+        for row, result in zip(report.per_seed, kept):
+            m = evaluate(result.predictions, result.test.targets_orig)
+            assert [repr(v) for v in (row.mse, row.mae, row.mape)] == [repr(v) for v in (m.mse, m.mae, m.mape)]
+            assert row == result.metrics
+        assert [r.seed for r in report.per_seed] == [1] * 5 + [2] * 5
 
 
 class TestCompareVariants:
@@ -540,7 +600,9 @@ class TestCompareVariants:
         cfg = tiny_train_config(epochs=2)
         rep1 = pipeline.compare_variants(frame, rr, scad, cfg, seeds=[5])
         rep2 = pipeline.compare_variants(frame, rr, scad, cfg, seeds=[5])
-        assert [r.label for r in rep1.rows] == list(pipeline.COMPARE_LABELS)
+        assert [r.label for r in rep1.rows] == [
+            "RR-CNN", "RR-LSTM", "RR-CNN-LSTM", "RR-DILATED_CNN-LSTM", "SCAD-DILATED_CNN-LSTM",
+        ]
         assert 0.0 <= rep1.dilated_vs_plain_win_rate <= 1.0
         assert all(math.isfinite(v) for r in rep1.rows for v in (r.mse, r.mae, r.mape))
         assert rep1 == rep2
