@@ -193,6 +193,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     out = _ensure_out(args.out)
+    if config.model.variant != "dilated_cnn_lstm":  # each cell sets its variant; the dilated cells take this config
+        config.model = dataclasses.replace(config.model, variant="dilated_cnn_lstm", dilation=None)
     config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation)
     if args.seeds is not None:
         try:

@@ -9,7 +9,7 @@ experiment):
         "csv_paths": ["panel.csv", ...],     # csv source only
         "date_column": "date",               # csv source only
         "target_column": "price",            # the synthetic panel's only target
-        "synthetic": { ...SyntheticSpec fields... }
+        "synthetic": { ...SyntheticSpec fields... }   # synthetic source only
       },
       "selection": {
         "alpha": 0.05,
@@ -46,6 +46,8 @@ class DataConfig:
             raise ParameterError(f"source must be 'synthetic' or 'csv', got {self.source!r}")
         if self.source == "csv" and not self.csv_paths:
             raise ParameterError("source is 'csv' but csv_paths is empty")
+        if self.source == "csv" and self.synthetic != SyntheticSpec():  # it generates no panel
+            raise ParameterError(f"synthetic must keep its defaults on the csv source, got {self.synthetic}")
         if self.source == "synthetic":  # it reads no CSV, and its panel's target is fixed
             for key, fixed in (("csv_paths", []), ("date_column", "date"), ("target_column", TARGET_NAME)):
                 if getattr(self, key) != fixed:

@@ -8,8 +8,7 @@ document fails with the error class the caller names (ConfigError for
 the config, DataError for artifacts) and the dotted path of the
 offending key. A derived (init=False) dataclass field is written too, and
 a document that states one must agree with what the class derives.
-Documents hold JSON's own types only, with an ndarray as a list of
-numbers; none carries a date.
+Documents hold JSON's own types only; none carries an array or a date.
 """
 from __future__ import annotations
 
@@ -22,8 +21,6 @@ import os
 import tempfile
 import types
 import typing
-
-import numpy as np
 
 from .errors import MissingInputError, ParameterError
 
@@ -54,13 +51,11 @@ def csv_text(header: list[str], rows) -> str:
 def _encode(obj):
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> None:
-    """Write obj as canonical JSON; dataclasses go by their fields, ndarrays as lists."""
+    """Write obj as canonical JSON; dataclasses go by their fields."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
@@ -82,7 +77,7 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
     return raw
 
 
-_EXPECTED = {dict: "an object", list: "a list", tuple: "a list", np.ndarray: "a list of numbers"}
+_EXPECTED = {dict: "an object", list: "a list", tuple: "a list"}
 
 
 def _shown(value) -> str:
@@ -107,7 +102,7 @@ def from_json(cls, raw, where: str, error: type[Exception]):
 
     cls is a dataclass or an annotation its fields may carry: int,
     float (ints accepted), str, bool, X | None, list[T], tuple[T, ...],
-    dict (any object), dict[str, T] and np.ndarray (a list of numbers).
+    dict (any object) and dict[str, T].
     A dataclass is built from its fields, recursing into those that are
     dataclasses themselves; fields absent from the document keep their
     defaults. An init=False field is never passed to
@@ -150,8 +145,6 @@ def from_json(cls, raw, where: str, error: type[Exception]):
         return values if origin is list else tuple(values)
     if origin is dict and isinstance(raw, dict):
         return {k: from_json(args[1], v, f"{where}.{k}", error) for k, v in raw.items()}
-    if cls is np.ndarray and isinstance(raw, list) and all(_is(v, float) for v in raw):
-        return np.array(raw, dtype=np.float64)
     if origin is None and _is(raw, cls):
         return raw
     expected = _EXPECTED.get(origin or cls) or cls.__name__

@@ -16,7 +16,8 @@ block per kernel row that skips the zero padding. An activation after the
 conv would break this. Conv2dLayer is the unfolded conv the tests check
 the fold against. Checkpoints keep the unfolded blocks: model_to_dict and
 model_from_dict encode and decode them, and pipeline.Checkpoint, the
-checkpoint document, holds them beside the config and the scaler.
+checkpoint document, holds them beside the config and the input column
+names.
 
 The LSTM weights live in one (4H, H+I) gate stack and one (4H,) bias
 stack (LstmParams); the W_f ... b_o parameter blocks are row-block views

@@ -256,16 +256,6 @@ class StandardScaler:
     mean: np.ndarray
     sd: np.ndarray
 
-    def __post_init__(self):
-        if not len(self.mean) == len(self.sd) == len(self.names):
-            raise ParameterError(f"mean and sd need one entry per name: {len(self.names)} names, "
-                                 f"{len(self.mean)} means, {len(self.sd)} sds")
-        bad = ~(np.isfinite(self.mean) & np.isfinite(self.sd) & (self.sd > 0))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ParameterError(f"column {self.names[j]!r} has mean {self.mean[j]} and sd {self.sd[j]}; "
-                                 "a mean must be finite and an sd finite and > 0")
-
     def _index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -400,28 +390,25 @@ def training_span_sha256(frame: TimeSeriesFrame, names: list[str], window: int, 
 
     A checkpoint records it so that scoring it against a different
     training span fails loudly instead of reporting a shifted split.
+    The names pass subframe's checks first.
     """
     rows = training_rows(len(frame), window, train_fraction)
-    span = np.ascontiguousarray(frame.values(names)[:rows], dtype="<f8")
+    span = np.ascontiguousarray(frame.subframe(names).values(names)[:rows], dtype="<f8")
     return hashlib.sha256(span.tobytes()).hexdigest()
 
 
 def prepare_split(
-    frame: TimeSeriesFrame,
-    names: list[str],
-    window: int,
-    train_fraction: float,
-    scaler: StandardScaler | None = None,
+    frame: TimeSeriesFrame, names: list[str], window: int, train_fraction: float
 ) -> tuple[StandardScaler, WindowBatch, WindowBatch]:
     """Scale, window and chronologically split the named columns of the panel.
 
-    Without a scaler, one is fitted on the rows the training samples
-    read (their inputs and targets), so no test row informs it; pass the
-    scaler of a trained model to rebuild exactly its training split.
+    The scaler is fitted on the rows the training samples read (their
+    inputs and targets), so no test row informs it, and the same rows
+    give the same scaler bit for bit: a checkpoint rebuilds its model's
+    split from the names alone once its training-span SHA-256 matches.
     """
     sub = frame.subframe(names)
-    if scaler is None:
-        scaler = fit_scaler(sub, train_end_index=training_rows(len(sub), window, train_fraction))
+    scaler = fit_scaler(sub, train_end_index=training_rows(len(sub), window, train_fraction))
     batch = make_windows(scaler.transform(sub), window=window, original=sub)
     batch.check_no_lookahead()
     train_b, test_b = chrono_split(batch, train_fraction)
@@ -656,18 +643,19 @@ def compare_variants(
 # checkpoints
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
 class Checkpoint:
-    """The checkpoint document. scaler.names are the model's input columns in order, the target first,
-    so the model's width is len(scaler.names) and no other field can disagree with it."""
+    """The checkpoint document. names are the model's input columns in order, the target first,
+    so the model's width is len(names) and no other field can disagree with it. The scaler is
+    not stored: it follows from the training-span rows that train_span_sha256 pins."""
 
     format_version: int
     config: ModelConfig
     params: dict[str, EncodedArray]
-    scaler: StandardScaler
+    names: list[str]
     target_name: str
     train_fraction: float
     train_span_sha256: str
@@ -678,7 +666,7 @@ def make_checkpoint(result: TrainResult, frame: TimeSeriesFrame, train_fraction:
     config = result.model.config
     span = training_span_sha256(frame, result.scaler.names, config.window, train_fraction)
     params = neural.model_to_dict(result.model)
-    return Checkpoint(CHECKPOINT_VERSION, config, params, result.scaler, frame.target_name, train_fraction, span)
+    return Checkpoint(CHECKPOINT_VERSION, config, params, result.scaler.names, frame.target_name, train_fraction, span)
 
 
 def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
@@ -686,6 +674,8 @@ def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
 
     A malformed document, or one of another version, raises DataError naming its key; so does a panel
     or train_fraction that does not give the checkpoint's target and training span, naming what differs.
+    The scaler is refitted only once the training span's SHA-256 matches, so another panel fails
+    naming SHA-256 even where its training span could not be standardized.
     """
     version = raw.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -695,14 +685,13 @@ def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
         raise DataError(f"the panel's target {frame.target_name!r} differs from the checkpoint's {ckpt.target_name!r}")
     if ckpt.train_fraction != train_fraction:
         raise DataError(f"train_fraction {train_fraction} differs from the checkpoint's {ckpt.train_fraction}")
-    names, window = ckpt.scaler.names, ckpt.config.window
-    split = prepare_split(frame, names, window, train_fraction, ckpt.scaler)
-    model = neural.model_from_dict(ckpt.config, len(names), ckpt.params)
+    names, window = ckpt.names, ckpt.config.window
     digest = training_span_sha256(frame, names, window, train_fraction)
+    model = neural.model_from_dict(ckpt.config, len(names), ckpt.params)
     if digest != ckpt.train_span_sha256:
         raise DataError("the panel's training-span rows differ from those the checkpoint was trained on "
                         f"(SHA-256 {digest[:12]}... against {ckpt.train_span_sha256[:12]}...)")
-    return model, split
+    return model, prepare_split(frame, names, window, train_fraction)
 
 
 # ---------------------------------------------------------------------------

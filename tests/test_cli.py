@@ -56,6 +56,18 @@ def drop_column(cfg, name):
     cfg["data"]["csv_paths"] = [other]
 
 
+def flatten_column(cfg, name):
+    """Point a one-CSV config at a copy of its panel whose column `name` is 1.0 on every row."""
+    (path,) = cfg["data"]["csv_paths"]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(name)
+    other = os.path.splitext(path)[0] + "-flat.csv"
+    with open(other, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows[:1] + [r[:j] + ["1.0"] + r[j + 1:] for r in rows[1:]])
+    cfg["data"]["csv_paths"] = [other]
+
+
 class TestSynthCommand:
     def test_default_column_count(self, tmp_path):
         out = str(tmp_path / "o")
@@ -191,13 +203,14 @@ class TestTrainEvaluateCommands:
             ("synthetic", lambda cfg: cfg.update(train_fraction=0.7), "train_fraction 0.7"),
             ("synthetic", lambda cfg: cfg["data"]["synthetic"].update(seed=6), "SHA-256"),
             ("csv", lambda cfg: drop_column(cfg, "macro_13"), "macro_13"),
+            ("csv", lambda cfg: flatten_column(cfg, "macro_13"), "SHA-256"),
             (
                 "csv",
                 lambda cfg: cfg["data"].update(target_column="macro_01"),
                 "target 'macro_01' differs from the checkpoint's 'price'",
             ),
         ],
-        ids=["train_fraction", "panel", "panel-lacks-column", "csv-other-target"],
+        ids=["train_fraction", "panel", "panel-lacks-column", "panel-constant-column", "csv-other-target"],
     )
     def test_evaluate_on_another_split_is_data_error(self, tiny_config, tmp_path, capsys, source, edit, named):
         """A checkpoint scored against another train_fraction, panel or target, or lacking columns, fails loudly."""
@@ -218,9 +231,9 @@ class TestTrainEvaluateCommands:
         assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
 
     def test_evaluate_checkpoint_wider_than_its_params_is_data_error(self, tiny_config, tmp_path, capsys):
-        """An all-features checkpoint given the scaler of a selection one exits 2 naming checkpoint.params.
+        """An all-features checkpoint given the names of a selection one exits 2 naming checkpoint.params.
 
-        The model's width is the scaler's column count, so the stored blocks cannot fit it.
+        The model's width is the count of its names, so the stored blocks cannot fit it.
         """
         wide, narrow = str(tmp_path / "wide"), str(tmp_path / "narrow")
         assert run("train", "--config", tiny_config, "--out", wide, "--all-features") == 0
@@ -228,9 +241,9 @@ class TestTrainEvaluateCommands:
         assert run("train", "--config", tiny_config, "--out", narrow) == 0
         path = os.path.join(wide, "checkpoint.json")
         ckpt = json.load(open(path))
-        scaler = json.load(open(os.path.join(narrow, "checkpoint.json")))["scaler"]
-        assert len(scaler["names"]) < len(ckpt["scaler"]["names"]) == 54
-        ckpt["scaler"] = scaler
+        names = json.load(open(os.path.join(narrow, "checkpoint.json")))["names"]
+        assert len(names) < len(ckpt["names"]) == 54
+        ckpt["names"] = names
         with open(path, "w") as fh:
             json.dump(ckpt, fh)
         capsys.readouterr()
@@ -253,12 +266,15 @@ class TestTrainEvaluateCommands:
 
     @staticmethod
     def train_overflowing_checkpoint(config, out):
-        """Train on the tiny config, then edit the checkpoint so that every forecast overflows."""
+        """Train on the tiny config, then edit the checkpoint's params so that every forecast overflows.
+
+        The standardized forecasts stay finite; the tiny panel's price sd (about 1.17) takes them past
+        the largest float64 on inverse scaling.
+        """
         assert run("train", "--config", config, "--out", out, "--all-features") == 0
         path = os.path.join(out, "checkpoint.json")
         ckpt = json.load(open(path))
-        ckpt["params"]["dense_b"] = dataclasses.asdict(encode_array(np.array(1e308)))
-        ckpt["scaler"]["sd"] = [1e10] * len(ckpt["scaler"]["sd"])
+        ckpt["params"]["dense_b"] = dataclasses.asdict(encode_array(np.array(1.7e308)))
         with open(path, "w") as fh:
             json.dump(ckpt, fh)
 
@@ -400,6 +416,26 @@ class TestCompareCommand:
         assert read_bytes(given) == before
         assert not os.path.exists(os.path.join(out, "rr_selection.json"))
 
+    def test_model_variant_is_not_read(self, tiny_config, tmp_path):
+        """compare sets each cell's variant itself: a cnn model.variant writes the default variant's three files,
+        with and without --dilation, which still sets the dilated cells' rate."""
+        sel = str(tmp_path / "sel")
+        assert run("select", "--config", tiny_config, "--out", sel) == 0
+        flags = ["--rr-selection", os.path.join(sel, "rr_selection.json"),
+                 "--scad-selection", os.path.join(sel, "scad_selection.json")]
+        cnn = tmp_path / "cnn.json"
+        cnn.write_text(json.dumps(TINY_CONFIG | {"model": TINY_CONFIG["model"] | {"variant": "cnn"}}))
+        files = {}
+        for config in (tiny_config, str(cnn)):
+            for dilation in ([], ["--dilation", "3"]):
+                out = str(tmp_path / str(len(files)))
+                assert run("compare", "--config", config, "--out", out, *flags, *dilation) == 0
+                files[config, bool(dilation)] = [read_bytes(os.path.join(out, name)) for name in (
+                    "comparison.json", "comparison.txt", "comparison_per_seed.csv")]
+        for dilated in (False, True):
+            assert files[str(cnn), dilated] == files[tiny_config, dilated]
+        assert files[tiny_config, True] != files[tiny_config, False]
+
     def test_bad_seeds_flag(self, tiny_config, tmp_path):
         assert run("compare", "--config", tiny_config, "--out", str(tmp_path / "o"), "--seeds", "x") == 1
 
@@ -453,13 +489,19 @@ CHECKPOINT_CONFIG = ModelConfig(variant="lstm", hidden_size=1)
 
 # a well-formed checkpoint of the tiny panel's columns price and macro_01 that fails only its SHA-256 check
 CHECKPOINT = {
-    "format_version": 3,
+    "format_version": 4,
     "config": dataclasses.asdict(CHECKPOINT_CONFIG),
     "params": {k: dataclasses.asdict(v) for k, v in model_to_dict(ForecastModel(CHECKPOINT_CONFIG, 2)).items()},
-    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
+    "names": ["price", "macro_01"],
     "target_name": "price",
     "train_fraction": TINY_CONFIG["train_fraction"],
     "train_span_sha256": "0" * 64,
+}
+
+# version 3 stored the scaler's names, means and sds where version 4 stores the names alone
+V3_CHECKPOINT = {k: v for k, v in CHECKPOINT.items() if k != "names"} | {
+    "format_version": 3,
+    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
 }
 
 V2_CHECKPOINT = CHECKPOINT | {
@@ -475,25 +517,9 @@ V1_CHECKPOINT = CHECKPOINT | {
     "feature_names": ["price", "macro_01"],
 }
 
-SCALER_SHORT_MEAN_CHECKPOINT = CHECKPOINT | {
-    "scaler": {"names": ["price", "macro_01"], "mean": [0.0], "sd": [1.0, 1.0]},
-}
+REPEATED_NAME_CHECKPOINT = CHECKPOINT | {"names": ["price", "macro_01", "macro_01"]}
 
-NAN_SCALER_MEAN_CHECKPOINT = CHECKPOINT | {
-    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, float("nan")], "sd": [1.0, 1.0]},
-}
-
-ZERO_SCALER_SD_CHECKPOINT = CHECKPOINT | {
-    "scaler": {"names": ["price", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 0.0]},
-}
-
-REPEATED_NAME_CHECKPOINT = CHECKPOINT | {
-    "scaler": {"names": ["price", "macro_01", "macro_01"], "mean": [0.0, 0.0, 0.0], "sd": [1.0, 1.0, 1.0]},
-}
-
-NO_TARGET_CHECKPOINT = CHECKPOINT | {
-    "scaler": {"names": ["macro_02", "macro_01"], "mean": [0.0, 0.0], "sd": [1.0, 1.0]},
-}
+NO_TARGET_CHECKPOINT = CHECKPOINT | {"names": ["macro_02", "macro_01"]}
 
 NAN_PARAM_CHECKPOINT = CHECKPOINT | {
     "params": CHECKPOINT["params"] | {"dense_b": dataclasses.asdict(encode_array(np.array(np.nan)))},
@@ -552,6 +578,8 @@ def selecting(*names, unselected=()):
         ("config", {"data": {"csv_paths": ["/nonexistent.csv"]}}, 1, "config.data: csv_paths must be []"),
         ("config", {"data": {"date_column": "day"}}, 1, "config.data: date_column must be 'date'"),
         ("config", {"data": {"source": "csv"}}, 1, "config.data: source is 'csv' but csv_paths is empty"),
+        ("config", {"data": {"source": "csv", "csv_paths": ["panel.csv"], "synthetic": {"n_days": 50, "seed": 9}}},
+         1, "config.data: synthetic must keep its defaults on the csv source"),
         ("config", {"selection": {"alpha": 2}}, 1, "error: config.selection: alpha must be in (0, 1), got 2"),
         ("config", {"selection": {"grid_points": 0}}, 1, "config.selection: grid_points must be >= 1"),
         ("config", {"train_fraction": 1.5}, 1, "error: config: train_fraction must be in (0, 1), got 1.5"),
@@ -573,14 +601,12 @@ def selecting(*names, unselected=()):
         ("rr_selection.json", selecting("price", "macro_01"), 2, "['price'] are listed more than once"),
         ("rr_selection.json", selecting("macro_01", unselected=("macro_02", "macro_02")), 2,
          "rr_selection: ['macro_02'] are listed more than once"),
-        ("checkpoint.json", {"format_version": 3}, 2, "checkpoint.config"),
+        ("checkpoint.json", {"format_version": 4}, 2, "checkpoint.config"),
         ("checkpoint.json", [1], 2, "checkpoint.json"),
         ("checkpoint.json", CHECKPOINT | {"params": {}}, 2, "checkpoint.params"),
-        ("checkpoint.json", V2_CHECKPOINT, 2, "checkpoint.format_version: expected 3, got 2"),
+        ("checkpoint.json", V3_CHECKPOINT, 2, "checkpoint.format_version: expected 4, got 3"),
+        ("checkpoint.json", V2_CHECKPOINT, 2, "checkpoint.format_version: expected 4, got 2"),
         ("checkpoint.json", V1_CHECKPOINT, 2, "checkpoint.format_version"),
-        ("checkpoint.json", SCALER_SHORT_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
-        ("checkpoint.json", NAN_SCALER_MEAN_CHECKPOINT, 2, "checkpoint.scaler"),
-        ("checkpoint.json", ZERO_SCALER_SD_CHECKPOINT, 2, "checkpoint.scaler"),
         ("checkpoint.json", REPEATED_NAME_CHECKPOINT, 2, "['macro_01'] are listed more than once"),
         ("checkpoint.json", NO_TARGET_CHECKPOINT, 2, "lack the panel's target 'price'"),
         ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
@@ -590,7 +616,7 @@ def selecting(*names, unselected=()):
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
         "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-csv-paths",
-        "config-synthetic-date-column", "config-csv-without-paths", "config-alpha-out-of-range",
+        "config-synthetic-date-column", "config-csv-without-paths", "config-csv-synthetic", "config-alpha-out-of-range",
         "config-grid-points-zero", "config-train-fraction-out-of-range", "config-synthetic-macro",
         "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
@@ -598,8 +624,7 @@ def selecting(*names, unselected=()):
         "selection-width-disagrees-with-rows", "selection-old-penalty-format",
         "selection-repeats-a-column", "selection-selects-the-target", "selection-repeats-an-unselected-row",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
-        "checkpoint-v2", "checkpoint-v1", "checkpoint-scaler-short-mean", "checkpoint-scaler-nan-mean",
-        "checkpoint-scaler-zero-sd", "checkpoint-scaler-repeats-a-column", "checkpoint-lacks-target",
+        "checkpoint-v3", "checkpoint-v2", "checkpoint-v1", "checkpoint-repeats-a-column", "checkpoint-lacks-target",
         "checkpoint-nan-param", "checkpoint-fixture-fails-only-its-sha",
     ],
 )

@@ -7,22 +7,21 @@ import dataclasses
 import os
 import typing
 
-import numpy as np
 import pytest
 
 from hybridcast.config import DataConfig, ExperimentConfig, SelectionConfig
 from hybridcast.errors import DataError
 from hybridcast.jsonio import atomic_write_text, from_json, read_json, write_json
-from hybridcast.neural import ModelConfig
-from hybridcast.pipeline import StandardScaler
+from hybridcast.neural import ForecastModel, ModelConfig, model_to_dict
+from hybridcast.pipeline import CHECKPOINT_VERSION, Checkpoint
 from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 
 SPEC = SyntheticSpec(n_days=50, seed=9, weights=(1.0, -1.0, 2.0, 0.5, 1.5), target_base=0.0)
+CKPT_CONFIG = ModelConfig(variant="cnn_lstm", hidden_size=2, out_channels=1, seed=4)
 
 DOCUMENTS = {
     "ExperimentConfig": ExperimentConfig(
-        data=DataConfig(source="csv", csv_paths=["close.csv", "macro.csv"], date_column="day", target_column="close",
-                        synthetic=SPEC),
+        data=DataConfig(source="csv", csv_paths=["close.csv", "macro.csv"], date_column="day", target_column="close"),
         selection=SelectionConfig(alpha=0.1, ridge_lambda=5.0, scad_a=3.0, grid_points=4),
         model=ModelConfig(variant="cnn_lstm", epochs=12, learning_rate=0.01, seed=3),
         seeds=[4, 5],
@@ -31,8 +30,9 @@ DOCUMENTS = {
     "ModelConfig": ModelConfig(variant="cnn_lstm", epochs=7, seed=3),
     "SyntheticSpec": SPEC,
     "GroundTruth": generate_synthetic_panel(SyntheticSpec(n_days=30, seed=2))[1],
-    "StandardScaler": StandardScaler(
-        names=["price", "x"], mean=np.array([50.5, -0.25]), sd=np.array([2.0, 0.125])
+    "Checkpoint": Checkpoint(
+        CHECKPOINT_VERSION, CKPT_CONFIG, model_to_dict(ForecastModel(CKPT_CONFIG, 2)), ["price", "x"], "price", 0.8,
+        "0123456789abcdef" * 4,
     ),
 }
 
@@ -46,7 +46,7 @@ def test_round_trip(kind, tmp_path):
     assert type(again) is type(doc)
     for name, value in vars(doc).items():
         got = getattr(again, name)
-        assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value, name
+        assert got == value, name
     write_json(tmp_path / "again.json", again)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 

@@ -179,7 +179,7 @@ def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_
     steps = [(out, argv[0]) for out, argv in artifacts.STEPS]
     assert commands == [("parent", *step) for step in steps] + [("change", *step) for step in steps]
     assert steps[:5] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
-    assert artifacts.STEPS[5] == ("cnn", ["train", "--variant", "cnn", "--all-features"])
+    assert artifacts.STEPS[5:] == [("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
     assert capsys.readouterr().out.splitlines() == [
         "c9/model.json: " + verdict,
         "c9/panel.csv: identical",

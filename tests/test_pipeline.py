@@ -448,7 +448,7 @@ def zero_weight_baseline(frame):
     result = train_model(frame, None, tiny_train_config(epochs=0))
     for p in result.model.params.values():
         p[...] = 0.0
-    split = pipeline.prepare_split(frame, result.scaler.names, result.model.config.window, 0.9, result.scaler)
+    split = pipeline.prepare_split(frame, result.scaler.names, result.model.config.window, 0.9)
     return result, *score_forecasts(result.model, split, frame.target_name)
 
 
@@ -518,7 +518,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_roundtrip_predicts_bit_for_bit(self, small_panel, variant, tmp_path):
         """make_checkpoint -> write_json -> load_checkpoint rebuilds the trained model and its split:
-        the same config, parameters, scaler and test-span forecasts, bit for bit."""
+        the same config, parameters, refitted scaler and test-span forecasts, bit for bit."""
         frame, _ = small_panel
         cfg = tiny_train_config(variant=variant, epochs=2)
         result = train_model(frame, selection_of(frame, ["macro_01", "fin_02"]), cfg, train_fraction=0.8)

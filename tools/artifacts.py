@@ -6,8 +6,9 @@ Each checkout is a source tree holding ``src/``, as for ``tools/pairs.py``.
 In each it runs ``python -m hybridcast.cli`` on the tiny config of the
 command-determinism acceptance test (c9) through synth, select, train,
 evaluate and compare in one output directory, and ``train --variant cnn
---all-features`` in a second. It prints one line per output file, and
-exits 1 if any file differs or is written on one side only.
+--all-features`` then ``evaluate`` in a second. It prints one line per
+output file, and exits 1 if any file differs or is written on one side
+only.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ CONFIG = {
 }
 # (output directory, command and flags), run in order
 STEPS = [("c9", ["synth"]), ("c9", ["select"]), ("c9", ["train"]), ("c9", ["evaluate"]), ("c9", ["compare"]),
-         ("cnn", ["train", "--variant", "cnn", "--all-features"])]
+         ("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
 
 
 def produce(root: Path, work: Path) -> dict[str, bytes]:
