@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto stable exit codes: ConfigError -> 1,
-DataError -> 2, NumericalError -> 3.
+DataError -> 2, NumericalError -> 3. A class stays only if the CLI
+maps it to an exit code, the package catches it by name, or
+hybridcast exports it; any other failure raises its exit code's base
+class with a message that says what went wrong.
 """
 
 
@@ -21,42 +24,6 @@ class DataError(HybridcastError):
     """Problems with input data files or their contents (exit code 2)."""
 
 
-class MissingInputError(DataError):
-    """A required input file does not exist."""
-
-
-class CsvFormatError(DataError):
-    """A CSV cell or header could not be parsed; names row/column."""
-
-
-class DuplicateDateError(DataError):
-    """A date appears more than once in one series."""
-
-
-class CoverageError(DataError):
-    """An exogenous series has no overlap with the target span."""
-
-
-class ScalingError(DataError):
-    """A column cannot be standardized (e.g. constant on the train span)."""
-
-
-class InsufficientDataError(DataError):
-    """Not enough rows to build at least one training sample."""
-
-
-class MapeUndefinedError(DataError):
-    """MAPE is undefined because an actual value is zero.
-
-    Carries the metrics that are still well defined.
-    """
-
-    def __init__(self, message: str, mse: float, mae: float):
-        super().__init__(message)
-        self.mse = mse
-        self.mae = mae
-
-
 class NumericalError(HybridcastError):
     """Numerical failure: singular systems, divergence, bad shapes (exit code 3)."""
 
@@ -67,12 +34,3 @@ class ShapeError(NumericalError):
 
 class SingularityError(NumericalError):
     """A matrix that must be positive definite / full rank is not."""
-
-
-class DivergenceError(NumericalError):
-    """Training produced a non-finite (or absurdly large) batch loss."""
-
-    def __init__(self, message: str, epoch: int, batch: int):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch

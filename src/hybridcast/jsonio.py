@@ -22,7 +22,7 @@ import tempfile
 import types
 import typing
 
-from .errors import MissingInputError, ParameterError
+from .errors import DataError, ParameterError
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -62,11 +62,11 @@ def write_json(path, obj) -> None:
 def read_json(path, what: str, error: type[Exception]) -> dict:
     """The top-level object of a JSON file.
 
-    A missing file raises MissingInputError naming `what`; invalid JSON
+    A missing file raises DataError naming `what`; invalid JSON
     or a top level that is not an object raises `error`.
     """
     if not os.path.exists(path):
-        raise MissingInputError(f"{what} not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     with open(path) as fh:
         try:
             raw = json.load(fh)

@@ -347,6 +347,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr is configurable
+
 
 @dataclass
 class AdamState:
@@ -362,34 +364,26 @@ def adam_init(params: dict) -> AdamState:
     )
 
 
-def adam_step(
-    state: AdamState,
-    params: dict,
-    grads: dict,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(state: AdamState, params: dict, grads: dict, lr: float = 0.001) -> None:
     """Bias-corrected Adam update, applied to params in place.
 
-    p -= lr/bc1 * m / (sqrt(v)/sqrt(bc2) + eps), each block's arithmetic
-    in place through one scratch array.
+    p -= lr/bc1 * m / (sqrt(v)/sqrt(bc2) + ADAM_EPS), each block's
+    arithmetic in place through one scratch array.
     """
     state.t += 1
-    step = lr / (1.0 - beta1**state.t)
-    root_bc2 = np.sqrt(1.0 - beta2**state.t)
+    step = lr / (1.0 - ADAM_BETA1**state.t)
+    root_bc2 = np.sqrt(1.0 - ADAM_BETA2**state.t)
     for name, p in params.items():
         g = grads[name]
         if np.shape(g) != np.shape(p):
             raise ShapeError(f"grad shape {np.shape(g)} != param shape {np.shape(p)} for {name!r}")
         m, v, s = state.m[name], state.v[name], np.empty_like(p)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=s)
-        v *= beta2
-        v += np.multiply(np.square(g, out=s), 1.0 - beta2, out=s)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(np.square(g, out=s), 1.0 - ADAM_BETA2, out=s)
         np.divide(np.sqrt(v, out=s), root_bc2, out=s)
-        s += eps
+        s += ADAM_EPS
         p -= np.multiply(np.divide(m, s, out=s), step, out=s)
 
 
@@ -399,7 +393,7 @@ def adam_step(
 
 @dataclass
 class ModelConfig:
-    """Architecture variant plus training hyperparameters; Adam keeps adam_step's default betas and eps."""
+    """Architecture variant plus training hyperparameters; Adam uses the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
 
     variant: str = "dilated_cnn_lstm"
     dilation: int | None = None

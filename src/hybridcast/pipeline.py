@@ -22,20 +22,7 @@ from datetime import date
 import numpy as np
 
 from . import neural, regsel
-from .errors import (
-    CoverageError,
-    CsvFormatError,
-    DataError,
-    DivergenceError,
-    DuplicateDateError,
-    InsufficientDataError,
-    MapeUndefinedError,
-    MissingInputError,
-    NumericalError,
-    ParameterError,
-    ScalingError,
-    ShapeError,
-)
+from .errors import DataError, NumericalError, ParameterError, ShapeError
 from .jsonio import atomic_write_text, csv_text, from_json
 from .neural import EncodedArray, ForecastModel, ModelConfig, adam_init, adam_step, mse_loss
 from .regsel import SelectionReport
@@ -51,7 +38,7 @@ def _check_dated_columns(dates: list[date], columns: dict[str, np.ndarray]) -> N
     """Strictly increasing dates, and one row per date in every column."""
     for i in range(1, len(dates)):
         if dates[i] <= dates[i - 1]:
-            raise DuplicateDateError(f"dates must be strictly increasing; offending date {dates[i].isoformat()}")
+            raise DataError(f"dates must be strictly increasing; offending date {dates[i].isoformat()}")
     for name, col in columns.items():
         if len(col) != len(dates):
             raise ShapeError(f"column {name!r} has {len(col)} rows for {len(dates)} dates")
@@ -137,24 +124,25 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     """Parse one CSV into a fragment; empty cells become NaN (missing).
 
     Rows are sorted by date; repeated header names, duplicate dates,
-    unparseable cells and rows with more or fewer cells than the header
-    raise with row/column context, and so does a file with no data rows.
+    unparseable or non-finite cells (`inf`, `nan`) and rows with more or
+    fewer cells than the header raise with row/column context, and so
+    does a file with no data rows.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
-        raise MissingInputError(f"input file not found: {path}")
+        raise DataError(f"input file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
+            raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         repeated = [h for i, h in enumerate(header) if h in header[:i]]
         if repeated:
-            raise CsvFormatError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         if date_column not in header:
-            raise CsvFormatError(f"{path}: no {date_column!r} column in header {header}")
+            raise DataError(f"{path}: no {date_column!r} column in header {header}")
         date_idx = header.index(date_column)
         wanted = [h for h in header if h != date_column]
         col_idx = {c: header.index(c) for c in wanted}
@@ -164,7 +152,7 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
-                raise CsvFormatError(
+                raise DataError(
                     f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}; "
                     "write a missing value as an empty cell"
                 )
@@ -172,7 +160,7 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
             try:
                 d = date.fromisoformat(raw_date)
             except ValueError:
-                raise CsvFormatError(
+                raise DataError(
                     f"{path}: row {lineno}: cannot parse date {raw_date!r} (expected YYYY-MM-DD)"
                 ) from None
             values = []
@@ -182,18 +170,24 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
                     values.append(math.nan)
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise CsvFormatError(
+                    raise DataError(
                         f"{path}: row {lineno}, column {c!r}: cannot parse {cell!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {lineno}, column {c!r}: {cell!r} is not a finite number; "
+                        "write a missing value as an empty cell"
+                    )
+                values.append(value)
             rows.append((d, values))
     if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
     for i in range(1, len(rows)):
         if rows[i][0] == rows[i - 1][0]:
-            raise DuplicateDateError(f"{path}: duplicate date {rows[i][0].isoformat()}")
+            raise DataError(f"{path}: duplicate date {rows[i][0].isoformat()}")
     dates = [r[0] for r in rows]
     data = np.array([r[1] for r in rows], dtype=np.float64).reshape(len(rows), len(wanted))
     return SeriesFragment(dates=dates, columns={c: data[:, j].copy() for j, c in enumerate(wanted)})
@@ -207,7 +201,7 @@ def align_series(fragments: list[SeriesFragment], target_name: str) -> TimeSerie
     on different calendars, so each value at a target date is the most
     recent observation at or before it. Leading target dates where some
     series has no observation yet are dropped; a series with no usable
-    overlap at all raises CoverageError.
+    overlap at all raises DataError.
     """
     seen: set[str] = set()
     for frag in fragments:
@@ -220,7 +214,7 @@ def align_series(fragments: list[SeriesFragment], target_name: str) -> TimeSerie
         raise ParameterError(f"target column {target_name!r} not found in any input file")
     tgt = target.columns[target_name]
     if not np.all(np.isfinite(tgt)):
-        raise CsvFormatError(f"target column {target_name!r} has missing values")
+        raise DataError(f"target column {target_name!r} has missing values")
 
     # dates as int64 day ordinals, so the fill is one binary search per series
     target_days = np.array([d.toordinal() for d in target.dates], dtype=np.int64)
@@ -234,7 +228,7 @@ def align_series(fragments: list[SeriesFragment], target_name: str) -> TimeSerie
             observed = np.isfinite(col)
             days, values = frag_days[observed], col[observed]
             if days.size == 0 or days[0] > target_days[-1]:
-                raise CoverageError(f"series {name!r} has no observations within the target span")
+                raise DataError(f"series {name!r} has no observations within the target span")
             last = np.searchsorted(days, target_days, side="right") - 1  # latest obs at or before
             aligned[name] = np.where(last >= 0, values[last], math.nan)
             first_valid = max(first_valid, int(np.argmax(last >= 0)))
@@ -288,7 +282,7 @@ def fit_scaler(frame: TimeSeriesFrame, train_end_index: int) -> StandardScaler:
         mean[j] = span.mean()
         sd[j] = span.std(ddof=1)
         if sd[j] <= 0:
-            raise ScalingError(f"column {name!r} is constant on the training span")
+            raise DataError(f"column {name!r} is constant on the training span")
     return StandardScaler(names=names, mean=mean, sd=sd)
 
 
@@ -334,7 +328,7 @@ def make_windows(frame: TimeSeriesFrame, window: int, original: TimeSeriesFrame)
     n = len(frame)
     n_samples = n - window
     if n_samples < 1:
-        raise InsufficientDataError(f"panel has {n} rows; need more than {window} for one sample")
+        raise DataError(f"panel has {n} rows; need more than {window} for one sample")
     names = list(frame.columns)
     mat = frame.values(names)
     idx = np.arange(n_samples)[:, None] + np.arange(window)[None, :]
@@ -354,7 +348,7 @@ def make_windows(frame: TimeSeriesFrame, window: int, original: TimeSeriesFrame)
 def split_index(n: int, train_fraction: float) -> int:
     """Training-sample count of n chronological samples: floor(train_fraction*n) in [1, n-1]."""
     if n < 2:
-        raise InsufficientDataError(f"need at least 2 samples to split, got {max(n, 0)}")
+        raise DataError(f"need at least 2 samples to split, got {max(n, 0)}")
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
     return min(max(int(math.floor(train_fraction * n)), 1), n - 1)
@@ -429,9 +423,9 @@ class Metrics:
 def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
     """MSE, MAE, and MAPE (as a fraction, mean |err|/|actual|) on matching vectors.
 
-    A non-finite prediction raises NumericalError, so no NaN metric is
-    ever written. A zero actual makes MAPE undefined; the raised error
-    still carries the MSE/MAE that remain well defined.
+    A non-finite prediction, or a finite one so large that a metric
+    overflows, raises NumericalError, so no NaN or infinite metric is
+    ever written. A zero actual makes MAPE undefined and raises DataError.
     """
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -442,13 +436,19 @@ def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
     bad = int(np.sum(~np.isfinite(pred)))
     if bad:
         raise NumericalError(f"{bad} of {pred.size} predictions are not finite")
-    err = actual - pred
-    mse = float(np.mean(err**2))
-    mae = float(np.mean(np.abs(err)))
     if np.any(actual == 0.0):
-        raise MapeUndefinedError("MAPE undefined: an actual value is zero", mse=mse, mae=mae)
-    mape = float(np.mean(np.abs(err) / np.abs(actual)))
-    return Metrics(mse=mse, mae=mae, mape=mape)
+        raise DataError("MAPE undefined: an actual value is zero")
+    with np.errstate(over="ignore"):  # an overflowing metric is named below
+        err = actual - pred
+        metrics = Metrics(
+            mse=float(np.mean(err**2)),
+            mae=float(np.mean(np.abs(err))),
+            mape=float(np.mean(np.abs(err) / np.abs(actual))),
+        )
+    overflowed = [name for name, value in vars(metrics).items() if not math.isfinite(value)]
+    if overflowed:
+        raise NumericalError(f"{pred.size} predictions give non-finite metrics: {', '.join(overflowed)}")
+    return metrics
 
 
 @dataclass
@@ -510,7 +510,7 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
 
     Batches are reshuffled every epoch from the model's seeded rng; the
     short final batch is kept. A non-finite (or absurdly large) batch
-    loss raises DivergenceError naming the epoch and the batch, before
+    loss raises NumericalError naming the epoch and the batch, before
     that batch updates the weights; Adam's stepwise-bounded updates mean
     explosions show up as huge finite losses well before any float
     overflow.
@@ -529,9 +529,7 @@ def fit_arrays(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) ->
             preds, cache = model.forward(inputs[idx])
             loss, grad = mse_loss(preds, targets[idx])
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}, batch {batch}", epoch=epoch, batch=batch
-                )
+                raise NumericalError(f"training diverged at epoch {epoch}, batch {batch}")
             grads, _ = model.backward(cache, grad)
             adam_step(state, model.params, grads, cfg.learning_rate)
             total += loss * len(idx)
@@ -701,7 +699,7 @@ def load_checkpoint(raw: dict, frame: TimeSeriesFrame, train_fraction: float):
 def lagged_design(frame: TimeSeriesFrame) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Design matrix of the exogenous features on day t against the target on day t + 1."""
     if len(frame) <= 3:
-        raise InsufficientDataError(f"panel has {len(frame)} rows; too few for a one-day lag")
+        raise DataError(f"panel has {len(frame)} rows; too few for a one-day lag")
     names = frame.feature_names
     x = frame.values(names)[:-1]
     y = frame.target[1:]
@@ -732,7 +730,7 @@ def select_panel_features(
     x_sd = x.std(axis=0, ddof=1)
     if np.any(x_sd <= 0):
         bad = [names[j] for j in np.nonzero(x_sd <= 0)[0]]
-        raise ScalingError(f"constant features cannot be standardized: {bad}")
+        raise DataError(f"constant features cannot be standardized: {bad}")
     xs = (x - x_mean) / x_sd
 
     lam_r = float(n) if ridge_lambda is None else float(ridge_lambda)

@@ -265,18 +265,29 @@ class TestTrainEvaluateCommands:
         assert "train_span_sha256" in capsys.readouterr().err
 
     @staticmethod
-    def train_overflowing_checkpoint(config, out):
-        """Train on the tiny config, then edit the checkpoint's params so that every forecast overflows.
+    def train_overflowing_checkpoint(config, out, dense_b=1.7e308):
+        """Train on the tiny config, then edit the checkpoint's dense_b so that scoring overflows.
 
-        The standardized forecasts stay finite; the tiny panel's price sd (about 1.17) takes them past
-        the largest float64 on inverse scaling.
+        The standardized forecasts stay finite; with the default dense_b the tiny panel's price sd
+        (about 1.17) takes them past the largest float64 on inverse scaling. With 1e155 the forecasts
+        stay finite and only their squared errors overflow.
         """
         assert run("train", "--config", config, "--out", out, "--all-features") == 0
         path = os.path.join(out, "checkpoint.json")
         ckpt = json.load(open(path))
-        ckpt["params"]["dense_b"] = dataclasses.asdict(encode_array(np.array(1.7e308)))
+        ckpt["params"]["dense_b"] = dataclasses.asdict(encode_array(np.array(dense_b)))
         with open(path, "w") as fh:
             json.dump(ckpt, fh)
+
+    @staticmethod
+    def evaluate_with_warnings_shown(config, out):
+        """Run `evaluate` in a fresh process with every warning shown, so a stray RuntimeWarning reaches stderr."""
+        src = os.path.dirname(os.path.dirname(hybridcast.__file__))
+        return subprocess.run(
+            [sys.executable, "-c", "import sys, hybridcast.cli; sys.exit(hybridcast.cli.main(sys.argv[1:]))",
+             "evaluate", "--config", config, "--out", out],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
 
     def test_evaluate_non_finite_predictions_is_numerical_error(self, tiny_config, tmp_path, capsys):
         """A checkpoint whose forecasts overflow exits 3 and writes no metrics or predictions."""
@@ -293,14 +304,39 @@ class TestTrainEvaluateCommands:
         """In a fresh process with warnings shown, the overflow exits 3 with one stderr line and no RuntimeWarning."""
         out = str(tmp_path / "o")
         self.train_overflowing_checkpoint(tiny_config, out)
-        src = os.path.dirname(os.path.dirname(hybridcast.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, hybridcast.cli; sys.exit(hybridcast.cli.main(sys.argv[1:]))",
-             "evaluate", "--config", tiny_config, "--out", out],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
-        )
+        proc = self.evaluate_with_warnings_shown(tiny_config, out)
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == ["error: 8 of 8 predictions are not finite"]
+
+    def test_evaluate_overflowing_metric_is_numerical_error(self, tiny_config, tmp_path):
+        """Finite forecasts near 1e155 square past the largest float64: exit 3 naming the MSE, no files."""
+        out = str(tmp_path / "o")
+        self.train_overflowing_checkpoint(tiny_config, out, dense_b=1e155)
+        proc = self.evaluate_with_warnings_shown(tiny_config, out)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["error: 8 predictions give non-finite metrics: mse"]
+        assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
+        assert not os.path.exists(os.path.join(out, "eval_predictions.csv"))
+
+    def test_zero_actual_in_test_span_is_data_error(self, tiny_config, tmp_path, capsys):
+        """A zero price on the last day leaves MAPE undefined: train exits 2 with one error line and writes nothing."""
+        panel = str(tmp_path / "panel")
+        assert run("synth", "--config", tiny_config, "--out", panel) == 0
+        path = os.path.join(panel, "panel.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[-1][rows[0].index("price")] = "0.0"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["data"] = {"source": "csv", "csv_paths": [path], "target_column": "price"}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("train", "--config", str(config), "--out", str(out), "--all-features") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: MAPE undefined: an actual value is zero"]
+        assert not out.exists() or not any(out.iterdir())
 
     def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")

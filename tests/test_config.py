@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridcast.config import DataConfig, ExperimentConfig, SelectionConfig, load_experiment_config, load_panel
-from hybridcast.errors import ConfigError, DataError, MissingInputError
+from hybridcast.errors import ConfigError, DataError
 from hybridcast.jsonio import from_json
 
 
@@ -104,7 +104,7 @@ def test_missing_target_values_are_data_error(tmp_path):
 
 
 def test_missing_config_file():
-    with pytest.raises(MissingInputError):
+    with pytest.raises(DataError, match="^config file not found: /nonexistent/config.json$"):
         load_experiment_config("/nonexistent/config.json")
 
 

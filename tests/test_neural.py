@@ -604,7 +604,7 @@ class TestAdam:
 
     def test_matches_textbook_update(self, rng):
         """100 steps on a 0-d block, a 1-d block and a row-block view of a gate stack, against Kingma & Ba's Algorithm 1."""
-        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, beta1, beta2, eps = 0.01, neural.ADAM_BETA1, neural.ADAM_BETA2, neural.ADAM_EPS
         stack = rng.standard_normal((8, 5))  # (4H, H+I) with H = 2, I = 3
         untouched = np.delete(stack, [2, 3], axis=0)
         params = {"dense_b": np.array(0.3), "dense_w": rng.standard_normal(4), "W_i": stack[2:4]}
@@ -614,7 +614,7 @@ class TestAdam:
         state = adam_init(params)
         for t in range(1, 101):
             grads = {k: np.asarray(rng.standard_normal(np.shape(p))) for k, p in ref.items()}
-            adam_step(state, params, grads, lr, beta1, beta2, eps)
+            adam_step(state, params, grads, lr)
             for k, g in grads.items():
                 m[k] = beta1 * m[k] + (1.0 - beta1) * g
                 v[k] = beta2 * v[k] + (1.0 - beta2) * g * g

@@ -152,6 +152,11 @@ def canned_cli(outputs: dict):
         root = Path(cwd)
         assert env["PYTHONPATH"] == str(root / "src")
         out = Path(cmd[cmd.index("--out") + 1])
+        data = json.loads(Path(cmd[cmd.index("--config") + 1]).read_text())["data"]
+        if out.name == "csv":  # the third pass reads the panel that synth wrote
+            assert data["csv_paths"] == [str(out.parent / "c9" / "panel.csv")]
+        else:
+            assert data["source"] == "synthetic"
         out.mkdir(exist_ok=True)
         commands.append((root.name, out.name, cmd[3]))
         for name, data in outputs.get((root.name, cmd[3]), {}).items():
@@ -179,10 +184,12 @@ def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_
     steps = [(out, argv[0]) for out, argv in artifacts.STEPS]
     assert commands == [("parent", *step) for step in steps] + [("change", *step) for step in steps]
     assert steps[:5] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
-    assert artifacts.STEPS[5:] == [("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
+    assert artifacts.STEPS[5:7] == [("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
+    assert steps[7:] == [("csv", c) for c in ("select", "train", "evaluate")]
     assert capsys.readouterr().out.splitlines() == [
         "c9/model.json: " + verdict,
         "c9/panel.csv: identical",
         "cnn/model.json: " + verdict,
-        f"{code * 2} of 3 output files differ",
+        "csv/model.json: " + verdict,
+        f"{code * 3} of 4 output files differ",
     ]

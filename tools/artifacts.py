@@ -6,7 +6,9 @@ Each checkout is a source tree holding ``src/``, as for ``tools/pairs.py``.
 In each it runs ``python -m hybridcast.cli`` on the tiny config of the
 command-determinism acceptance test (c9) through synth, select, train,
 evaluate and compare in one output directory, and ``train --variant cnn
---all-features`` then ``evaluate`` in a second. It prints one line per
+--all-features`` then ``evaluate`` in a second. A third runs select, train
+and evaluate with the same config read from the ``panel.csv`` that synth
+wrote, so the CSV parse path is compared too. It prints one line per
 output file, and exits 1 if any file differs or is written on one side
 only.
 """
@@ -27,26 +29,30 @@ CONFIG = {
               "epochs": 2, "batch_size": 16, "seed": 7},
     "seeds": [4],
 }
-# (output directory, command and flags), run in order
+# (output directory, command and flags), run in order; the "csv" directory's config reads c9/panel.csv
 STEPS = [("c9", ["synth"]), ("c9", ["select"]), ("c9", ["train"]), ("c9", ["evaluate"]), ("c9", ["compare"]),
-         ("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
+         ("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"]),
+         ("csv", ["select"]), ("csv", ["train"]), ("csv", ["evaluate"])]
 
 
 def produce(root: Path, work: Path) -> dict[str, bytes]:
     """Every file that STEPS write in checkout `root`, by its path under `work`, and its bytes."""
     work.mkdir()
-    config = work / "config.json"
+    config, csv_config = work / "config.json", work / "csv-config.json"
     config.write_text(json.dumps(CONFIG))
+    csv_data = {"source": "csv", "csv_paths": [str(work / "c9" / "panel.csv")], "target_column": "price"}
+    csv_config.write_text(json.dumps(CONFIG | {"data": csv_data}))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for out, argv in STEPS:
-        cmd = [sys.executable, "-m", "hybridcast.cli", *argv, "--config", str(config), "--out", str(work / out)]
+        cfg = csv_config if out == "csv" else config
+        cmd = [sys.executable, "-m", "hybridcast.cli", *argv, "--config", str(cfg), "--out", str(work / out)]
         try:
             subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
         except subprocess.CalledProcessError as exc:
             print(f"{' '.join(cmd)} in {root} exited {exc.returncode}:\n{exc.stderr}", file=sys.stderr, end="")
             raise
     return {p.relative_to(work).as_posix(): p.read_bytes() for p in sorted(work.rglob("*"))
-            if p.is_file() and p != config}
+            if p.is_file() and p not in (config, csv_config)}
 
 
 def compare_lines(parent: dict[str, bytes], change: dict[str, bytes]) -> tuple[list[str], int]:
