@@ -1,6 +1,8 @@
 """Command-line surface: select | train | evaluate | compare | gradcheck | synth.
 
-One experiment-config JSON drives everything; flags are overrides only.
+One experiment-config JSON drives everything. A flag overrides a config
+key only where a benchmark, a tool or a README recipe runs it; every other
+setting is set through the config alone.
 Exit codes are a stable contract: 0 success, 1 usage/config error,
 2 data error, 3 numerical failure.
 """
@@ -26,6 +28,9 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no abbreviations: one spelling per flag, so `--seed` never passes as `--seeds`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); keep usage errors on 1
         raise ConfigError(message)
 
@@ -37,16 +42,10 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="experiment config JSON (defaults: built-in synthetic run)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument(
-            "--seed", type=int, help="override the model seed; on the synthetic source also reseeds the panel"
-        )
 
     p = sub.add_parser("select", help="run ridge and SCAD feature selection")
     common(p)
     p.add_argument("--lambda", dest="scad_lambda", type=float, help="fixed SCAD lambda (skips tuning)")
-    p.add_argument("--ridge-lambda", type=float, help="fixed ridge lambda (default: n rows)")
-    p.add_argument("--a", type=float, help="SCAD shape parameter (default 3.7)")
-    p.add_argument("--alpha", type=float, help="significance level for the ridge report")
 
     p = sub.add_parser("train", help="train one model on the selected features")
     common(p)
@@ -55,7 +54,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--dilation", type=int, help="override dilation rate")
     p.add_argument("--variant", help="override architecture variant")
-    p.add_argument("--lr", type=float, help="override learning rate")
 
     p = sub.add_parser("evaluate", help="re-score a trained checkpoint on the config's panel")
     common(p)
@@ -65,7 +63,6 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--seeds", help="comma-separated comparison seeds (e.g. 1,2,3)")
     p.add_argument("--epochs", type=int, help="override training epochs")
-    p.add_argument("--dilation", type=int, help="override dilation rate")
     p.add_argument("--rr-selection", help="ridge selection JSON (default: <out>/rr_selection.json)")
     p.add_argument("--scad-selection", help="SCAD selection JSON (default: <out>/scad_selection.json)")
 
@@ -74,22 +71,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="emit the synthetic panel CSV plus its ground truth")
     common(p)
-    p.add_argument("--n-days", type=int, help="override panel length")
 
     return parser
 
 
 def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
-
-
-def _load_config(args) -> ExperimentConfig:
-    config = load_experiment_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        config.model.seed = args.seed
-        config.data.synthetic.seed = args.seed
-    return config
 
 
 def _load_selection(path: str) -> SelectionReport:
@@ -116,15 +107,9 @@ def _run_selection(config: ExperimentConfig, frame, rr_path: str, scad_path: str
 
 
 def cmd_select(args) -> int:
-    config = _load_config(args)
+    config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
-    config.selection = _override(
-        config.selection,
-        scad_lambda=args.scad_lambda,
-        ridge_lambda=args.ridge_lambda,
-        scad_a=args.a,
-        alpha=args.alpha,
-    )
+    config.selection = _override(config.selection, scad_lambda=args.scad_lambda)
     frame, _ = load_panel(config.data)
     _run_selection(
         config, frame, os.path.join(out, "rr_selection.json"), os.path.join(out, "scad_selection.json")
@@ -133,17 +118,11 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
     if args.variant is not None and args.dilation is None:
         config.model.dilation = None  # re-resolved for the new variant by __post_init__
-    config.model = _override(
-        config.model,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        dilation=args.dilation,
-        variant=args.variant,
-    )
+    config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation, variant=args.variant)
 
     if args.all_features:
         selection = None
@@ -177,7 +156,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
+    config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
     raw = read_json(args.checkpoint or os.path.join(out, "checkpoint.json"), "checkpoint", DataError)
     frame, _ = load_panel(config.data)
@@ -191,11 +170,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args)
+    config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
     if config.model.variant != "dilated_cnn_lstm":  # each cell sets its variant; the dilated cells take this config
         config.model = dataclasses.replace(config.model, variant="dilated_cnn_lstm", dilation=None)
-    config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation)
+    config.model = _override(config.model, epochs=args.epochs)
     if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -242,10 +221,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
+    config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
-    spec = _override(config.data.synthetic, n_days=args.n_days)
-    frame, truth = synth.generate_synthetic_panel(spec)
+    frame, truth = synth.generate_synthetic_panel(config.data.synthetic)
     pipeline.write_frame_csv(frame, os.path.join(out, "panel.csv"))
     write_json(os.path.join(out, "ground_truth.json"), truth)
     print(

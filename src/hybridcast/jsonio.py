@@ -62,10 +62,11 @@ def write_json(path, obj) -> None:
 def read_json(path, what: str, error: type[Exception]) -> dict:
     """The top-level object of a JSON file.
 
-    A missing file raises DataError naming `what`; invalid JSON
-    or a top level that is not an object raises `error`.
+    A missing file, or a path that is not a file, raises DataError
+    naming `what`; invalid JSON or a top level that is not an object
+    raises `error`.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"{what} not found: {path}")
     with open(path) as fh:
         try:

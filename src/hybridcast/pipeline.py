@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 import warnings
@@ -121,7 +122,7 @@ def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
 
 
 def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
-    """Parse one CSV into a fragment; empty cells become NaN (missing).
+    """Parse one UTF-8 CSV into a fragment; empty cells become NaN (missing).
 
     Rows are sorted by date; repeated header names, duplicate dates,
     unparseable or non-finite cells (`inf`, `nan`) and rows with more or
@@ -129,59 +130,64 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     does a file with no data rows.
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-        if date_column not in header:
-            raise DataError(f"{path}: no {date_column!r} column in header {header}")
-        date_idx = header.index(date_column)
-        wanted = [h for h in header if h != date_column]
-        col_idx = {c: header.index(c) for c in wanted}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+    if date_column not in header:
+        raise DataError(f"{path}: no {date_column!r} column in header {header}")
+    date_idx = header.index(date_column)
+    wanted = [h for h in header if h != date_column]
+    col_idx = {c: header.index(c) for c in wanted}
 
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}; "
+                "write a missing value as an empty cell"
+            )
+        raw_date = row[date_idx].strip()
+        try:
+            d = date.fromisoformat(raw_date)
+        except ValueError:
+            raise DataError(
+                f"{path}: row {lineno}: cannot parse date {raw_date!r} (expected YYYY-MM-DD)"
+            ) from None
+        values = []
+        for c in wanted:
+            cell = row[col_idx[c]].strip()
+            if cell == "":
+                values.append(math.nan)
                 continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}; "
-                    "write a missing value as an empty cell"
-                )
-            raw_date = row[date_idx].strip()
             try:
-                d = date.fromisoformat(raw_date)
+                value = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: row {lineno}: cannot parse date {raw_date!r} (expected YYYY-MM-DD)"
+                    f"{path}: row {lineno}, column {c!r}: cannot parse {cell!r} as a number"
                 ) from None
-            values = []
-            for c in wanted:
-                cell = row[col_idx[c]].strip()
-                if cell == "":
-                    values.append(math.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {c!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {lineno}, column {c!r}: {cell!r} is not a finite number; "
-                        "write a missing value as an empty cell"
-                    )
-                values.append(value)
-            rows.append((d, values))
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: row {lineno}, column {c!r}: {cell!r} is not a finite number; "
+                    "write a missing value as an empty cell"
+                )
+            values.append(value)
+        rows.append((d, values))
     if not rows:
         raise DataError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
@@ -400,12 +406,16 @@ def prepare_split(
     inputs and targets), so no test row informs it, and the same rows
     give the same scaler bit for bit: a checkpoint rebuilds its model's
     split from the names alone once its training-span SHA-256 matches.
+    A zero test-span target leaves MAPE undefined and raises DataError
+    here, before any model trains on the split.
     """
     sub = frame.subframe(names)
     scaler = fit_scaler(sub, train_end_index=training_rows(len(sub), window, train_fraction))
     batch = make_windows(scaler.transform(sub), window=window, original=sub)
     batch.check_no_lookahead()
     train_b, test_b = chrono_split(batch, train_fraction)
+    if np.any(test_b.targets_orig == 0.0):
+        raise DataError("MAPE undefined: an actual value is zero")
     return scaler, train_b, test_b
 
 

@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,17 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def write_json_file(tmp_path, doc, name="c.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def synth_config(tmp_path, **spec):
+    """A config of the synthetic source whose panel has the given SyntheticSpec fields."""
+    return write_json_file(tmp_path, {"data": {"synthetic": spec}}, "synth.json")
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -71,7 +85,7 @@ def flatten_column(cfg, name):
 class TestSynthCommand:
     def test_default_column_count(self, tmp_path):
         out = str(tmp_path / "o")
-        assert run("synth", "--out", out, "--n-days", "30") == 0
+        assert run("synth", "--config", synth_config(tmp_path, n_days=30), "--out", out) == 0
         header = open(os.path.join(out, "panel.csv")).readline().strip().split(",")
         assert len(header) == 55  # date + 53 features + price
         assert header[0] == "date" and header[-1] == "price"
@@ -79,22 +93,23 @@ class TestSynthCommand:
 
     def test_byte_identical_rerun(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        assert run("synth", "--out", out1, "--n-days", "40", "--seed", "9") == 0
-        assert run("synth", "--out", out2, "--n-days", "40", "--seed", "9") == 0
+        config = synth_config(tmp_path, n_days=40, seed=9)
+        assert run("synth", "--config", config, "--out", out1) == 0
+        assert run("synth", "--config", config, "--out", out2) == 0
         assert read_bytes(os.path.join(out1, "panel.csv")) == read_bytes(os.path.join(out2, "panel.csv"))
         assert read_bytes(os.path.join(out1, "ground_truth.json")) == read_bytes(
             os.path.join(out2, "ground_truth.json")
         )
 
     def test_too_few_days_is_usage_error(self, tmp_path):
-        assert run("synth", "--out", str(tmp_path / "o"), "--n-days", "5") == 1
+        assert run("synth", "--config", synth_config(tmp_path, n_days=5), "--out", str(tmp_path / "o")) == 1
 
     def test_roundtrips_through_loader_losslessly(self, tmp_path):
         from hybridcast.pipeline import load_csv_series
         from hybridcast.synth import SyntheticSpec, generate_synthetic_panel
 
         out = str(tmp_path / "o")
-        run("synth", "--out", out, "--n-days", "30", "--seed", "5")
+        assert run("synth", "--config", synth_config(tmp_path, n_days=30, seed=5), "--out", out) == 0
         frag = load_csv_series(os.path.join(out, "panel.csv"))
         frame, _ = generate_synthetic_panel(SyntheticSpec(n_days=30, seed=5))
         assert frag.dates == frame.dates
@@ -126,6 +141,18 @@ class TestSelectCommand:
         path.write_text(json.dumps(cfg))
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "missing.csv" in capsys.readouterr().err
+
+    def test_csv_path_naming_a_directory_is_data_error(self, tmp_path, capsys):
+        config = write_json_file(tmp_path, {"data": {"source": "csv", "csv_paths": [str(tmp_path)]}})
+        assert run("select", "--config", config, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: input file not found: {tmp_path}"]
+
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        target.write_bytes(b"date,price\n2020-01-01,1\xff\n")
+        config = write_json_file(tmp_path, {"data": {"source": "csv", "csv_paths": [str(target)]}})
+        assert run("select", "--config", config, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {target}: byte 23 is not UTF-8 text"]
 
     def test_header_only_csv_is_data_error(self, tmp_path, capsys):
         """A target CSV with a header and no rows is one error line, not an IndexError from aligning on no dates."""
@@ -318,8 +345,9 @@ class TestTrainEvaluateCommands:
         assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
         assert not os.path.exists(os.path.join(out, "eval_predictions.csv"))
 
-    def test_zero_actual_in_test_span_is_data_error(self, tiny_config, tmp_path, capsys):
-        """A zero price on the last day leaves MAPE undefined: train exits 2 with one error line and writes nothing."""
+    def test_zero_actual_in_test_span_is_data_error(self, tiny_config, tmp_path, capsys, monkeypatch):
+        """A zero price on the last day leaves MAPE undefined: train and compare exit 2 with one error line,
+        before any training, and write nothing."""
         panel = str(tmp_path / "panel")
         assert run("synth", "--config", tiny_config, "--out", panel) == 0
         path = os.path.join(panel, "panel.csv")
@@ -332,11 +360,18 @@ class TestTrainEvaluateCommands:
         cfg["data"] = {"source": "csv", "csv_paths": [path], "target_column": "price"}
         config = tmp_path / "c.json"
         config.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        capsys.readouterr()
-        assert run("train", "--config", str(config), "--out", str(out), "--all-features") == 2
-        assert capsys.readouterr().err.splitlines() == ["error: MAPE undefined: an actual value is zero"]
-        assert not out.exists() or not any(out.iterdir())
+        selection = write_json_file(tmp_path, SELECTION, "selection.json")
+        fits = []
+        fit_arrays = cli.pipeline.fit_arrays
+        monkeypatch.setattr(cli.pipeline, "fit_arrays", lambda *a: fits.append(1) or fit_arrays(*a))
+        for command, flags in (("train", ["--all-features"]),
+                               ("compare", ["--rr-selection", selection, "--scad-selection", selection])):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert run(command, "--config", str(config), "--out", str(out), *flags) == 2
+            assert capsys.readouterr().err.splitlines() == ["error: MAPE undefined: an actual value is zero"]
+            assert fits == []
+            assert not out.exists() or not any(out.iterdir())
 
     def test_train_metrics_record_epoch_history(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")
@@ -380,13 +415,11 @@ class TestTrainEvaluateCommands:
         assert run("train", "--config", tiny_config, "--out", out) == 2
         assert "rr_selection.json" in capsys.readouterr().err
 
-    def test_divergent_run_exits_numerical(self, tiny_config, tmp_path, capsys):
+    def test_divergent_run_exits_numerical(self, tmp_path, capsys):
         out = str(tmp_path / "o")
+        config = write_json_file(tmp_path, TINY_CONFIG | {"model": TINY_CONFIG["model"] | {"learning_rate": 1e60}})
         with np.errstate(over="ignore"):
-            code = run(
-                "train", "--config", tiny_config, "--out", out,
-                "--all-features", "--variant", "cnn", "--lr", "1e60", "--epochs", "3",
-            )
+            code = run("train", "--config", config, "--out", out, "--all-features", "--variant", "cnn", "--epochs", "3")
         assert code == 3
         assert "epoch" in capsys.readouterr().err
 
@@ -398,10 +431,7 @@ class TestTrainEvaluateCommands:
     def test_flag_overrides_are_validated(self, tiny_config, tmp_path):
         out = str(tmp_path / "o")
         assert run("train", "--config", tiny_config, "--out", out, "--all-features", "--epochs", "-3") == 1
-        assert run("train", "--config", tiny_config, "--out", out, "--all-features", "--lr", "0") == 1
         assert run("train", "--config", tiny_config, "--out", out, "--all-features", "--variant", "rnn") == 1
-        assert run("select", "--config", tiny_config, "--out", out, "--alpha", "2.0") == 1
-        assert run("select", "--config", tiny_config, "--out", out, "--a", "1.5") == 1
 
 
 class TestCompareCommand:
@@ -453,24 +483,20 @@ class TestCompareCommand:
         assert not os.path.exists(os.path.join(out, "rr_selection.json"))
 
     def test_model_variant_is_not_read(self, tiny_config, tmp_path):
-        """compare sets each cell's variant itself: a cnn model.variant writes the default variant's three files,
-        with and without --dilation, which still sets the dilated cells' rate."""
+        """compare sets each cell's variant itself: a cnn model.variant writes the default variant's three files."""
         sel = str(tmp_path / "sel")
         assert run("select", "--config", tiny_config, "--out", sel) == 0
         flags = ["--rr-selection", os.path.join(sel, "rr_selection.json"),
                  "--scad-selection", os.path.join(sel, "scad_selection.json")]
         cnn = tmp_path / "cnn.json"
         cnn.write_text(json.dumps(TINY_CONFIG | {"model": TINY_CONFIG["model"] | {"variant": "cnn"}}))
-        files = {}
+        files = []
         for config in (tiny_config, str(cnn)):
-            for dilation in ([], ["--dilation", "3"]):
-                out = str(tmp_path / str(len(files)))
-                assert run("compare", "--config", config, "--out", out, *flags, *dilation) == 0
-                files[config, bool(dilation)] = [read_bytes(os.path.join(out, name)) for name in (
-                    "comparison.json", "comparison.txt", "comparison_per_seed.csv")]
-        for dilated in (False, True):
-            assert files[str(cnn), dilated] == files[tiny_config, dilated]
-        assert files[tiny_config, True] != files[tiny_config, False]
+            out = str(tmp_path / str(len(files)))
+            assert run("compare", "--config", config, "--out", out, *flags) == 0
+            files.append([read_bytes(os.path.join(out, name)) for name in (
+                "comparison.json", "comparison.txt", "comparison_per_seed.csv")])
+        assert files[0] == files[1]
 
     def test_bad_seeds_flag(self, tiny_config, tmp_path):
         assert run("compare", "--config", tiny_config, "--out", str(tmp_path / "o"), "--seeds", "x") == 1
@@ -519,6 +545,51 @@ class TestUsageErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"modle": {}}))
         assert run("select", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize(
+        "command,flag,code",
+        [("select", "--seed", 1), ("train", "--seed", 1), ("evaluate", "--seed", 1), ("compare", "--seed", 1),
+         ("synth", "--seed", 1), ("select", "--ridge-lambda", 1), ("select", "--a", 1), ("select", "--alpha", 1),
+         ("train", "--lr", 1), ("compare", "--dilation", 1), ("synth", "--n-days", 1), ("gradcheck", "--seed", 0)],
+    )
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys, monkeypatch, command, flag, code):
+        """A setting with a config key has one way in, so these flags are gone from --help and exit 1
+        (`compare --seed` included, which no longer passes as an abbreviated --seeds); gradcheck's
+        --seed, which has no config key, stays."""
+        monkeypatch.chdir(tmp_path)  # a flag that did parse would write the default ./out here
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        assert bool(re.search(rf"{flag}\b", capsys.readouterr().out)) == (code == 0)
+        assert run(command, flag, "0") == code
+        if code:
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 0\n"
+
+    def test_out_naming_a_file_is_usage_error(self, tiny_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("select", "--config", tiny_config, "--out", str(taken)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot create output directory {taken}: File exists"]
+
+    @pytest.mark.parametrize(
+        "command,flag,what",
+        [("select", "--config", "config file"), ("train", "--selection", "selection file"),
+         ("evaluate", "--checkpoint", "checkpoint")],
+    )
+    def test_input_naming_a_directory_is_data_error(self, tmp_path, capsys, command, flag, what):
+        """A JSON input path that names a directory is read as a missing file: exit 2, one error line."""
+        assert run(command, "--out", str(tmp_path / "o"), flag, str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {what} not found: {tmp_path}"]
+
+
+def test_readme_commands_parse():
+    """Every `hybridcast` line of the README's bash blocks, with $d read as 2, is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.strip() for block in re.findall(r"```bash\n(.*?)```", readme, re.S) for line in block.splitlines()]
+    commands = [shlex.split(line.replace("$d", "2"))[1:] for line in lines if line.startswith("hybridcast ")]
+    assert commands
+    parser = cli._build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command in cli.COMMANDS
 
 
 CHECKPOINT_CONFIG = ModelConfig(variant="lstm", hidden_size=1)
@@ -617,6 +688,8 @@ def selecting(*names, unselected=()):
         ("config", {"data": {"source": "csv", "csv_paths": ["panel.csv"], "synthetic": {"n_days": 50, "seed": 9}}},
          1, "config.data: synthetic must keep its defaults on the csv source"),
         ("config", {"selection": {"alpha": 2}}, 1, "error: config.selection: alpha must be in (0, 1), got 2"),
+        ("config", {"selection": {"scad_a": 1.5}}, 1, "error: config.selection: scad_a must be > 2, got 1.5"),
+        ("config", {"model": {"learning_rate": 0}}, 1, "error: config.model: learning_rate must be > 0, got 0"),
         ("config", {"selection": {"grid_points": 0}}, 1, "config.selection: grid_points must be >= 1"),
         ("config", {"train_fraction": 1.5}, 1, "error: config: train_fraction must be in (0, 1), got 1.5"),
         ("config", {"data": {"synthetic": {"macro": 12}}}, 1, "config.data.synthetic.macro"),
@@ -653,6 +726,7 @@ def selecting(*names, unselected=()):
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
         "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-csv-paths",
         "config-synthetic-date-column", "config-csv-without-paths", "config-csv-synthetic", "config-alpha-out-of-range",
+        "config-scad-a-out-of-range", "config-learning-rate-zero",
         "config-grid-points-zero", "config-train-fraction-out-of-range", "config-synthetic-macro",
         "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
