@@ -135,7 +135,9 @@ def load_csv_series(path, date_column: str = "date") -> SeriesFragment:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # a leading byte-order mark, as spreadsheet programs save one, is
+        # dropped after decoding, so an error's byte offset counts it
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))

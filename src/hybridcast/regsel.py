@@ -211,26 +211,29 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
 # cyclic coordinate descent for lasso / scad
 
 
-def _objective(penalty: PenaltySpec, n: int):
-    """The sweep objective (1/2n) r'r + sum p_lam(|b_j|) as a function of (r'r, b).
+def _scad_constants(lam: float, a: float) -> tuple[float, float, float, float, float]:
+    """(a*lam, 2*a*lam, lam^2, -2(a-1), cap): the constants of scad_penalty's branches.
 
-    The penalty's constants are formed once per fit, not once per sweep.
+    Dividing by -2(a-1) gives the bits of negating and dividing by 2(a-1).
     """
-    lam, a, two_n = penalty.lam, penalty.a, 2.0 * n
+    return a * lam, 2.0 * a * lam, lam * lam, -2.0 * (a - 1.0), (a + 1.0) * lam * lam / 2.0
+
+
+def _scad_terms(b: np.ndarray, lam: float, a: float) -> np.ndarray:
+    """scad_penalty's three branches at every entry of b = |beta| at once.
+
+    _descend rewrites one entry at a time with the same float expressions.
+    """
+    a_lam, slope, lam_sq, denom, cap = _scad_constants(lam, a)
+    return np.where(b < lam, lam * b, np.where(b < a_lam, (b * b - slope * b + lam_sq) / denom, cap))
+
+
+def _objective(penalty: PenaltySpec, n: int):
+    """The sweep objective (1/2n) r'r + sum p_lam(|b_j|) as a function of (r'r, b)."""
+    lam, two_n = penalty.lam, 2.0 * n
     if penalty.kind == "lasso":
         return lambda resid_sq_sum, beta: resid_sq_sum / two_n + lam * float(np.abs(beta).sum())
-    # scad_penalty's three branches, evaluated for all coefficients at once;
-    # dividing by -2(a-1) gives the bits of negating and dividing by 2(a-1)
-    a_lam, slope, lam_sq, denom, cap = (
-        a * lam, 2.0 * a * lam, lam * lam, -2.0 * (a - 1.0), (a + 1.0) * lam * lam / 2.0
-    )
-
-    def objective(resid_sq_sum: float, beta: np.ndarray) -> float:
-        b = np.abs(beta)
-        blend = (b * b - slope * b + lam_sq) / denom
-        return resid_sq_sum / two_n + float(np.where(b < lam, lam * b, np.where(b < a_lam, blend, cap)).sum())
-
-    return objective
+    return lambda resid_sq_sum, beta: resid_sq_sum / two_n + float(_scad_terms(np.abs(beta), lam, penalty.a).sum())
 
 
 @dataclass(frozen=True)
@@ -272,10 +275,13 @@ class _Standardized:
 def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
     n = x.shape[0]
     x_mean = x.mean(axis=0)
-    x_sd = np.sqrt(np.mean((x - x_mean) ** 2, axis=0))  # population scaling: xs'xs = n
+    centered = x - x_mean
+    x_sd = np.sqrt(np.mean(centered**2, axis=0))  # population scaling: xs'xs = n
     active = x_sd > 0
-    xs = np.zeros_like(x)
-    xs[:, active] = (x[:, active] - x_mean[active]) / x_sd[active]
+    # elementwise, so each active column has the bits of a masked copy; xs
+    # keeps x's memory layout, which decides the BLAS path of xs'xs and xs'yc
+    xs = np.divide(centered, np.where(active, x_sd, 1.0), out=np.empty_like(x))
+    xs[:, ~active] = 0.0
     y_mean = float(y.mean())
     yc = y - y_mean
     return _Standardized(x_mean, x_sd, active, xs, y_mean, yc, list(xs.T @ xs / n), xs.T @ yc / n, float(yc @ yc))
@@ -299,13 +305,26 @@ def _descend(
 
     resid = d.yc - d.xs @ beta
     g = d.xs.T @ resid / n
-    objective, c, yy = _objective(penalty, n), d.c, d.yy
+    lam, scad = penalty.lam, penalty.kind == "scad"
+    c, yy, two_n = d.c, d.yy, 2.0 * n
+    if scad:
+        # one SCAD term per coordinate, rewritten whenever the sweep sets that
+        # coordinate; np.add.reduce over the same terms gives _objective's
+        # bits without re-evaluating all m of them every sweep
+        terms = _scad_terms(np.abs(beta), lam, penalty.a)
+        term_j = memoryview(terms)
+        _, slope, lam_sq, denom, cap = _scad_constants(lam, penalty.a)
+
+        def objective(resid_sq_sum: float, beta: np.ndarray) -> float:
+            return resid_sq_sum / two_n + float(terms.sum())
+
+    else:
+        objective = _objective(penalty, n)
     history = [objective(float(resid @ resid), beta)]
     # soft_threshold and scad_threshold inlined with the same float
     # expressions; the lasso is the SCAD rule with its soft-threshold branch
     # extended to every |z|
-    lam = penalty.lam
-    soft_limit = 2.0 * lam if penalty.kind == "scad" else math.inf
+    soft_limit = 2.0 * lam if scad else math.inf
     a_lam, a_m1, a_m2 = penalty.a * lam, penalty.a - 1.0, penalty.a - 2.0
     cov_rows, copysign = d.cov_rows, math.copysign
     active_idx = np.nonzero(d.active)[0].tolist()
@@ -340,6 +359,9 @@ def _descend(
                 # because f2py's keyword parsing costs 1.6x (350 against 215 ns)
                 daxpy(cov_rows[j], g, m, -delta)
                 coef[j] = new
+                if scad:  # _scad_terms' rule at b = |new|
+                    b = abs(new)
+                    term_j[j] = lam * b if b < lam else (b * b - slope * b + lam_sq) / denom if b < a_lam else cap
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         beta = np.array(coef)

@@ -154,6 +154,27 @@ class TestSelectCommand:
         assert run("select", "--config", config, "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {target}: byte 23 is not UTF-8 text"]
 
+    def test_csv_with_byte_order_mark_selects_as_without(self, tiny_config, tmp_path, capsys):
+        """A leading UTF-8 byte-order mark is dropped: select writes the bytes it writes for the unmarked CSV."""
+        assert run("synth", "--config", tiny_config, "--out", str(tmp_path / "panel")) == 0
+        plain = tmp_path / "panel" / "panel.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for name, csv_path in (("plain", plain), ("marked", marked)):
+            config = write_json_file(tmp_path, {"data": {"source": "csv", "csv_paths": [str(csv_path)]},
+                                                "selection": {"grid_points": 6}}, f"{name}.json")
+            assert run("select", "--config", config, "--out", str(tmp_path / name)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 4
+
+    def test_byte_order_mark_counts_in_the_non_utf8_offset(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        target.write_bytes(b"\xef\xbb\xbfdate,price\n2020-01-01,1\xff\n")
+        config = write_json_file(tmp_path, {"data": {"source": "csv", "csv_paths": [str(target)]}})
+        assert run("select", "--config", config, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {target}: byte 26 is not UTF-8 text"]
+
     def test_header_only_csv_is_data_error(self, tmp_path, capsys):
         """A target CSV with a header and no rows is one error line, not an IndexError from aligning on no dates."""
         target = tmp_path / "t.csv"
@@ -761,3 +782,30 @@ def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, k
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """select, train --epochs 2 and evaluate on the default config write the same bytes on 1 and on 2 BLAS threads.
+
+    The thread count is fixed before numpy loads, so each count runs the three commands in its own process.
+    """
+    script = (
+        "import sys\n"
+        "from hybridcast import cli\n"
+        "for argv in (['select'], ['train', '--epochs', '2'], ['evaluate']):\n"
+        "    if cli.main(argv + ['--out', sys.argv[1]]):\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+    )
+    src = os.path.dirname(os.path.dirname(hybridcast.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs["1"]) == [
+        "checkpoint.json", "eval_metrics.json", "eval_predictions.csv", "predictions.csv", "rr_selection.csv",
+        "rr_selection.json", "scad_selection.csv", "scad_selection.json", "train_metrics.json",
+    ]
+    assert outputs["1"] == outputs["2"]

@@ -151,14 +151,18 @@ def canned_cli(outputs: dict):
     def run(cmd, cwd, env, **kw):
         root = Path(cwd)
         assert env["PYTHONPATH"] == str(root / "src")
+        config = Path(cmd[cmd.index("--config") + 1])
         out = Path(cmd[cmd.index("--out") + 1])
-        data = json.loads(Path(cmd[cmd.index("--config") + 1]).read_text())["data"]
+        work = config.parent
+        doc = json.loads(config.read_text())
         if out.name == "csv":  # the third pass reads the panel that synth wrote
-            assert data["csv_paths"] == [str(out.parent / "c9" / "panel.csv")]
+            assert doc["data"]["csv_paths"] == [str(work / "c9" / "panel.csv")]
+        elif out.relative_to(work).parts[0] == "full":  # the fourth runs the default config
+            assert doc == {}
         else:
-            assert data["source"] == "synthetic"
+            assert doc["data"]["source"] == "synthetic"
         out.mkdir(exist_ok=True)
-        commands.append((root.name, out.name, cmd[3]))
+        commands.append((root.name, out.relative_to(work).as_posix(), *cmd[3:cmd.index("--config")]))
         for name, data in outputs.get((root.name, cmd[3]), {}).items():
             (out / name).write_bytes(data)
         return subprocess.CompletedProcess(cmd, 0)
@@ -176,20 +180,28 @@ def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     outputs = {(side, "synth"): {"panel.csv": b"date,price\n"} for side in ("parent", "change")}
+    for side in ("parent", "change"):
+        outputs[(side, "select")] = {"scad_selection.json": json.dumps({"penalty": {"lam": 0.1 + 0.2}}).encode()}
     outputs[("parent", "train")] = {"model.json": b"m"}
     outputs[("change", "train")] = change_train
     run, commands = canned_cli(outputs)
     monkeypatch.setattr(subprocess, "run", run)
     assert artifacts.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]) == code
-    steps = [(out, argv[0]) for out, argv in artifacts.STEPS]
+    steps = [(out, *argv) for out, argv in artifacts.STEPS]
+    steps[-1] = ("full/fixed", "select", "--lambda", "0.30000000000000004")  # the tuned lambda, round-tripped
     assert commands == [("parent", *step) for step in steps] + [("change", *step) for step in steps]
-    assert steps[:5] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
+    assert [s[:2] for s in steps[:5]] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
     assert artifacts.STEPS[5:7] == [("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
-    assert steps[7:] == [("csv", c) for c in ("select", "train", "evaluate")]
+    assert steps[7:10] == [("csv", c) for c in ("select", "train", "evaluate")]
+    assert artifacts.STEPS[10:] == [("full", ["select"]), ("full/fixed", ["select", "--lambda", artifacts.TUNED_LAMBDA])]
     assert capsys.readouterr().out.splitlines() == [
         "c9/model.json: " + verdict,
         "c9/panel.csv: identical",
+        "c9/scad_selection.json: identical",
         "cnn/model.json: " + verdict,
         "csv/model.json: " + verdict,
-        f"{code * 3} of 4 output files differ",
+        "csv/scad_selection.json: identical",
+        "full/fixed/scad_selection.json: identical",
+        "full/scad_selection.json: identical",
+        f"{code * 3} of 8 output files differ",
     ]

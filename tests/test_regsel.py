@@ -331,6 +331,16 @@ class TestPenalizedFit:
         expected = sum(regsel.scad_penalty(abs(b), lam, a) for b in beta)
         assert got == pytest.approx(expected, rel=1e-13)
 
+    def test_scad_terms_have_the_scalar_penalty_bits(self, rng):
+        """lam = 0.4 puts different bits on the two sides of both breakpoints, so a moved boundary shows."""
+        lam, a = 0.4, 3.7
+        b = np.concatenate([
+            rng.uniform(0.0, 2.0, 40),
+            [0.0, lam, np.nextafter(lam, 0.0), 2 * lam, a * lam, np.nextafter(a * lam, 0.0)],
+        ])
+        expected = np.array([regsel.scad_penalty(v, lam, a) for v in b])
+        assert regsel._scad_terms(b, lam, a).tobytes() == expected.tobytes()
+
 
 def residual_update_cd(x, y, penalty, tol=1e-7, max_iter=1000, beta_init=None):
     """Plain cyclic coordinate descent that keeps the residual, O(n) per update.
@@ -493,6 +503,49 @@ class TestDescentOracle:
                     warm = d.to_input_scale(beta)[0]
         assert unconverged > 0  # some fits stop at max_iter
 
+    @pytest.mark.parametrize("case", ["constant-column", "scad-at-zero-lambda", "warm-start-on-breakpoints"])
+    def test_edge_cases_match_keyword_descent(self, case):
+        """The per-coordinate SCAD terms at the edges: an inactive column, lam = 0, and |b_j| on a breakpoint."""
+        frame, _ = generate_synthetic_panel(SyntheticSpec(n_days=300, seed=3))
+        x, y, _ = lagged_design(frame)
+        a = 3.7
+        if case == "constant-column":
+            x[:, [4, 17]] = 2.5
+        d = regsel._standardize(x, y)
+        lmax = d.lambda_max()
+        runs = []  # (penalty, max_iter, beta_init on the input scale)
+        if case == "constant-column":
+            assert not d.active[4] and not d.active[17]
+            warm = np.full(x.shape[1], 0.3)  # the inactive columns' entries must be ignored
+            for lam in np.geomspace(lmax, lmax * 1e-3, 6):
+                runs += [(PenaltySpec(kind, float(lam), a), max_iter, warm)
+                         for kind in ("lasso", "scad") for max_iter in (1000, 3)]
+        elif case == "scad-at-zero-lambda":
+            lasso = regsel.penalized_fit(x, y, PenaltySpec("lasso", 0.05 * lmax))
+            runs = [(PenaltySpec(kind, 0.0, a), max_iter, init)
+                    for kind in ("scad", "lasso") for init in (None, lasso.beta) for max_iter in (300, 2)]
+        else:
+            lam = 0.05 * lmax
+            # input-scale entries whose standardized value is exactly +-lam, +-2 lam, +-a lam
+            init, placed = np.zeros(x.shape[1]), 0
+            targets = [lam, -lam, 2.0 * lam, -2.0 * lam, a * lam, -a * lam]
+            for j in range(x.shape[1]):
+                if placed == len(targets):
+                    break
+                v = targets[placed] / d.x_sd[j]
+                for cand in (v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)):
+                    if cand * d.x_sd[j] == targets[placed]:
+                        init[j], placed = cand, placed + 1
+                        break
+            assert placed == len(targets)
+            runs = [(PenaltySpec(kind, lam, a), max_iter, init) for kind in ("scad", "lasso") for max_iter in (1000, 1)]
+        for penalty, max_iter, init in runs:
+            beta, sweeps, converged, history = regsel._descend(d, penalty, 1e-7, max_iter, init)
+            ref_beta, ref_sweeps, ref_converged, ref_history = keyword_descend(d, penalty, 1e-7, max_iter, init)
+            assert beta.tobytes() == ref_beta.tobytes()
+            assert (sweeps, converged) == (ref_sweeps, ref_converged)
+            assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+
     def test_ridge_solve_matches_per_column_cho_solve(self, rng):
         """numcore.solve_spd on the ridge fit's system: 53 slopes, right-hand side [x'y, I]."""
         n, m = 400, 53
@@ -520,6 +573,45 @@ def correlated_designs(draw):
     k = max(1, m // 3)
     y = x[:, :k] @ rng.standard_normal(k) + draw(st.floats(0.1, 2.0)) * rng.standard_normal(n)
     return x, y, draw(st.floats(0.01, 0.9)) * regsel.lambda_max(x, y)
+
+
+def masked_standardize(x, y):
+    """_standardize's design by masked column copies, written out: (xs, cov_rows, c, active)."""
+    n = x.shape[0]
+    x_mean = x.mean(axis=0)
+    x_sd = np.sqrt(np.mean((x - x_mean) ** 2, axis=0))
+    active = x_sd > 0
+    xs = np.zeros_like(x)
+    xs[:, active] = (x[:, active] - x_mean[active]) / x_sd[active]
+    yc = y - float(y.mean())
+    return xs, list(xs.T @ xs / n), xs.T @ yc / n, active
+
+
+class TestStandardize:
+    @given(correlated_designs(), st.sampled_from(["none", "one", "all-but-one"]),
+           st.sampled_from([0.0, 1.0, -2.5, "underflow"]), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_masked_copies(self, design, constants, value, fortran, random):
+        """Every byte of xs, G's rows, c and active, and xs's memory layout, as with masked column copies.
+
+        An "underflow" column varies by about 1e-170, so its squared deviations
+        round to 0 and its sd is 0 while its deviations are not.
+        """
+        x, y, _ = design
+        n, m = x.shape
+        constant = random.sample(range(m), {"none": 0, "one": 1, "all-but-one": m - 1}[constants])
+        for j in constant:
+            x[:, j] = [random.uniform(-1e-170, 1e-170) for _ in range(n)] if value == "underflow" else value
+        if fortran:
+            x = np.asfortranarray(x)
+        d = regsel._standardize(x, y)
+        xs, cov_rows, c, active = masked_standardize(x, y)
+        assert d.active.tobytes() == active.tobytes()
+        assert not d.active[constant].any()
+        assert d.xs.tobytes() == xs.tobytes()
+        assert (d.xs.strides, d.xs.flags.f_contiguous) == (xs.strides, fortran)
+        assert np.array(d.cov_rows).tobytes() == np.array(cov_rows).tobytes()
+        assert d.c.tobytes() == c.tobytes()
 
 
 class TestOptimalityProperty:

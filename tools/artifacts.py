@@ -8,9 +8,12 @@ command-determinism acceptance test (c9) through synth, select, train,
 evaluate and compare in one output directory, and ``train --variant cnn
 --all-features`` then ``evaluate`` in a second. A third runs select, train
 and evaluate with the same config read from the ``panel.csv`` that synth
-wrote, so the CSV parse path is compared too. It prints one line per
-output file, and exits 1 if any file differs or is written on one side
-only.
+wrote, so the CSV parse path is compared too. A fourth runs select on
+the default config (1060 days, 20 grid points), which reaches the dense
+end of the lambda path that the tiny panel never does, and then, in its
+``fixed`` subdirectory, ``select --lambda`` at the lambda that tuned
+select chose. It prints one line per output file, and exits 1 if any
+file differs or is written on one side only.
 """
 from __future__ import annotations
 
@@ -29,22 +32,28 @@ CONFIG = {
               "epochs": 2, "batch_size": 16, "seed": 7},
     "seeds": [4],
 }
-# (output directory, command and flags), run in order; the "csv" directory's config reads c9/panel.csv
+TUNED_LAMBDA = "<lambda of full/scad_selection.json>"  # a STEPS argument, read when its step runs
+# (output directory, command and flags), run in order; the "csv" directory's config reads c9/panel.csv,
+# and the "full" directory's is the default config
 STEPS = [("c9", ["synth"]), ("c9", ["select"]), ("c9", ["train"]), ("c9", ["evaluate"]), ("c9", ["compare"]),
          ("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"]),
-         ("csv", ["select"]), ("csv", ["train"]), ("csv", ["evaluate"])]
+         ("csv", ["select"]), ("csv", ["train"]), ("csv", ["evaluate"]),
+         ("full", ["select"]), ("full/fixed", ["select", "--lambda", TUNED_LAMBDA])]
 
 
 def produce(root: Path, work: Path) -> dict[str, bytes]:
     """Every file that STEPS write in checkout `root`, by its path under `work`, and its bytes."""
     work.mkdir()
-    config, csv_config = work / "config.json", work / "csv-config.json"
-    config.write_text(json.dumps(CONFIG))
     csv_data = {"source": "csv", "csv_paths": [str(work / "c9" / "panel.csv")], "target_column": "price"}
-    csv_config.write_text(json.dumps(CONFIG | {"data": csv_data}))
+    configs = {"config.json": CONFIG, "csv-config.json": CONFIG | {"data": csv_data}, "full-config.json": {}}
+    for name, doc in configs.items():
+        (work / name).write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for out, argv in STEPS:
-        cfg = csv_config if out == "csv" else config
+        cfg = work / {"csv": "csv-config.json", "full": "full-config.json"}.get(out.split("/")[0], "config.json")
+        if TUNED_LAMBDA in argv:
+            tuned = json.loads((work / "full" / "scad_selection.json").read_text())["penalty"]["lam"]
+            argv = [repr(tuned) if a == TUNED_LAMBDA else a for a in argv]
         cmd = [sys.executable, "-m", "hybridcast.cli", *argv, "--config", str(cfg), "--out", str(work / out)]
         try:
             subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
@@ -52,7 +61,7 @@ def produce(root: Path, work: Path) -> dict[str, bytes]:
             print(f"{' '.join(cmd)} in {root} exited {exc.returncode}:\n{exc.stderr}", file=sys.stderr, end="")
             raise
     return {p.relative_to(work).as_posix(): p.read_bytes() for p in sorted(work.rglob("*"))
-            if p.is_file() and p not in (config, csv_config)}
+            if p.is_file() and p.relative_to(work).as_posix() not in configs}
 
 
 def compare_lines(parent: dict[str, bytes], change: dict[str, bytes]) -> tuple[list[str], int]:
