@@ -11,11 +11,9 @@ experiment):
         "target_column": "price",            # the synthetic panel's only target
         "synthetic": { ...SyntheticSpec fields... }   # synthetic source only
       },
-      "selection": {
-        "alpha": 0.05,
-        "ridge_lambda": null,                # null -> n (heavy shrinkage)
-        "scad_lambda": null,                 # null -> validation-tuned path
-        "scad_a": 3.7, "grid_points": 20
+      "selection": {                         # the rule itself is fixed in regsel
+        "scad_lambda": null,                 # null -> validation-tuned path; else finite, >= 0
+        "grid_points": 20                    # length of that path
       },
       "model": { ...ModelConfig fields... },
       "seeds": [1, 2, 3],                    # comparison seeds, distinct
@@ -24,6 +22,7 @@ experiment):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterError
@@ -57,17 +56,12 @@ class DataConfig:
 
 @dataclass
 class SelectionConfig:
-    alpha: float = 0.05
-    ridge_lambda: float | None = None
     scad_lambda: float | None = None
-    scad_a: float = 3.7
     grid_points: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.scad_a <= 2:
-            raise ParameterError(f"scad_a must be > 2, got {self.scad_a}")
+        if self.scad_lambda is not None and not 0 <= self.scad_lambda < math.inf:  # NaN fails both
+            raise ParameterError(f"scad_lambda must be a finite number >= 0, got {self.scad_lambda}")
         if self.grid_points < 1:
             raise ParameterError(f"grid_points must be >= 1, got {self.grid_points}")
 
@@ -96,7 +90,7 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     Every key is type-checked and unknown keys are rejected; a bad value
     raises ConfigError naming its dotted path, e.g. config.model.epochs,
     or, for a value a section's checks reject, the section and then the
-    key, e.g. config.selection: alpha must be in (0, 1).
+    key, e.g. config.selection: grid_points must be >= 1.
     """
     if path is None:
         return ExperimentConfig()

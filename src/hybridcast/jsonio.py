@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import tempfile
 import types
@@ -59,19 +60,32 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path, what: str, error: type[Exception]) -> dict:
     """The top-level object of a JSON file.
 
     A missing file, or a path that is not a file, raises DataError
     naming `what`; invalid JSON or a top level that is not an object
-    raises `error`.
+    raises `error`. Python's NaN, Infinity and -Infinity literals, and a
+    number that overflows a float (e.g. 1e999), are invalid JSON here,
+    as non-finite cells are in a CSV panel.
     """
     if not os.path.isfile(path):
         raise DataError(f"{what} not found: {path}")
     with open(path) as fh:
         try:
-            raw = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_no_constant)
+        except ValueError as exc:  # JSONDecodeError, a non-finite number, or bytes that are not UTF-8
             raise error(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise error(f"{path}: top level must be a JSON object, got {_shown(raw)}")

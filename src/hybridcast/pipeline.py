@@ -720,23 +720,20 @@ def lagged_design(frame: TimeSeriesFrame) -> tuple[np.ndarray, np.ndarray, list[
 
 def select_panel_features(
     frame: TimeSeriesFrame,
-    alpha: float = 0.05,
-    ridge_lambda: float | None = None,
     scad_lambda: float | None = None,
-    scad_a: float = 3.7,
     grid_points: int = 20,
 ) -> tuple[SelectionReport, SelectionReport]:
     """Run the two selectors against the lagged panel.
 
-    Ridge keeps every feature whose approximate t-test clears alpha; its
-    default lambda is n (heavy shrinkage), which pools weight across
-    correlated features so whole clusters stay significant. SCAD selects
-    its nonzero support at a validation-tuned lambda unless one is fixed.
+    Ridge runs at lambda = n rows (heavy shrinkage), which pools weight
+    across correlated features so whole clusters stay significant, and
+    keeps every feature whose approximate t-test clears regsel.ALPHA.
+    SCAD selects its nonzero support at a lambda tuned over
+    `grid_points` values unless `scad_lambda` fixes one.
     A SCAD fit that stops at its sweep limit unconverged raises a
     RuntimeWarning naming lambda and the sweep count.
     """
     x, y, names = lagged_design(frame)
-    n = len(y)
 
     x_mean = x.mean(axis=0)
     x_sd = x.std(axis=0, ddof=1)
@@ -745,21 +742,20 @@ def select_panel_features(
         raise DataError(f"constant features cannot be standardized: {bad}")
     xs = (x - x_mean) / x_sd
 
-    lam_r = float(n) if ridge_lambda is None else float(ridge_lambda)
-    ridge = regsel.ridge_fit(xs, y, lam_r)
-    rr_report = regsel.select_features(ridge, names, alpha, dataset_label="rr", feature_scale=x_sd)
+    ridge = regsel.ridge_fit(xs, y, float(len(y)))
+    rr_report = regsel.select_features(ridge, names, dataset_label="rr", feature_scale=x_sd)
 
     if scad_lambda is None:
-        scad, _, _, _ = regsel.tune_penalized(x, y, "scad", a=scad_a, n_points=grid_points)
+        scad, _, _, _ = regsel.tune_penalized(x, y, "scad", n_points=grid_points)
     else:
-        scad = regsel.scad_fit(x, y, float(scad_lambda), scad_a)
+        scad = regsel.scad_fit(x, y, float(scad_lambda))
     if not scad.converged:
         warnings.warn(
             f"SCAD fit at lambda={scad.penalty.lam:g} did not converge in {scad.iterations} sweeps; "
             "its selection may be incomplete",
             RuntimeWarning,
         )
-    scad_report = regsel.select_features(scad, names, alpha, dataset_label="scad")
+    scad_report = regsel.select_features(scad, names, dataset_label="scad")
     return rr_report, scad_report
 
 

@@ -11,6 +11,11 @@ Conventions:
 With unit-variance columns the sparse lambda has the usual "max |X'y|/n
 zeroes everything" scaling.
 
+The selection rule is fixed here: a fit's support is what its report
+selects (select_features). Ridge and OLS fits support the slopes whose
+t-test clears ALPHA; lasso and SCAD fits their nonzero coefficients,
+SCAD with Fan & Li's (2001) shape SCAD_A.
+
 A SelectionReport is a jsonio document whose n_features, n_selected and
 selected_names are derived from its rows (init=False fields); a report
 read back must agree with its rows.
@@ -32,6 +37,8 @@ from .jsonio import csv_text
 PENALTY_KINDS = ("none", "ridge", "lasso", "scad")
 TOL, MAX_ITER = 1e-7, 1000  # coordinate descent: convergence threshold on a sweep's largest move, sweep limit
 VAL_FRACTION, PARSIMONY_RATIO = 0.1, 1.15  # tune_penalized: held-out share of rows, slack on the least validation MSE
+ALPHA = 0.05  # level of the ridge/OLS slope t-tests that decide their support
+SCAD_A = 3.7  # SCAD shape parameter, Fan & Li's (2001) choice
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,7 @@ class PenaltySpec:
 
     kind: str
     lam: float = 0.0
-    a: float = 3.7
+    a: float = SCAD_A
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -84,7 +91,7 @@ def soft_threshold(z: float, lam: float) -> float:
     return math.copysign(max(abs(z) - lam, 0.0), z)
 
 
-def scad_penalty(beta_abs: float, lam: float, a: float = 3.7) -> float:
+def scad_penalty(beta_abs: float, lam: float, a: float = SCAD_A) -> float:
     """Piecewise SCAD penalty value at |beta|.
 
     Linear (lam*|b|) near zero, quadratic blend on [lam, a*lam), then the
@@ -104,7 +111,7 @@ def scad_penalty(beta_abs: float, lam: float, a: float = 3.7) -> float:
     return (a + 1.0) * lam * lam / 2.0
 
 
-def scad_penalty_derivative(beta_abs: float, lam: float, a: float = 3.7) -> float:
+def scad_penalty_derivative(beta_abs: float, lam: float, a: float = SCAD_A) -> float:
     """Derivative of scad_penalty w.r.t. |beta|: lam, then a linear decay to 0."""
     if a <= 2:
         raise ParameterError(f"scad shape parameter must be > 2, got {a}")
@@ -117,7 +124,7 @@ def scad_penalty_derivative(beta_abs: float, lam: float, a: float = 3.7) -> floa
     return max(a * lam - beta_abs, 0.0) / (a - 1.0)
 
 
-def scad_threshold(z: float, lam: float, a: float = 3.7) -> float:
+def scad_threshold(z: float, lam: float, a: float = SCAD_A) -> float:
     """Univariate SCAD estimate given the unpenalized estimate z.
 
     Soft-thresholds small z, linearly relaxes the shrinkage on
@@ -172,7 +179,7 @@ def _least_squares(x, y, penalty: PenaltySpec, center: bool, dof: int) -> Regres
     se = np.sqrt(np.clip(np.diag(sigma2 * (w @ gram @ w.T)), 0.0, None))
     t = beta / np.maximum(se, 1e-300)
     p = 2.0 * stdtr(dof, -np.abs(t))  # two-sided Student-t p-value; stdtr is the t(dof) CDF
-    support = tuple(int(j) for j in np.nonzero(p < 0.05)[0])
+    support = tuple(int(j) for j in np.nonzero(p < ALPHA)[0])
     return RegressionFit(beta, beta0, penalty, support, converged=True, iterations=1, t_stats=t, p_values=p)
 
 
@@ -209,31 +216,6 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
 
 # ---------------------------------------------------------------------------
 # cyclic coordinate descent for lasso / scad
-
-
-def _scad_constants(lam: float, a: float) -> tuple[float, float, float, float, float]:
-    """(a*lam, 2*a*lam, lam^2, -2(a-1), cap): the constants of scad_penalty's branches.
-
-    Dividing by -2(a-1) gives the bits of negating and dividing by 2(a-1).
-    """
-    return a * lam, 2.0 * a * lam, lam * lam, -2.0 * (a - 1.0), (a + 1.0) * lam * lam / 2.0
-
-
-def _scad_terms(b: np.ndarray, lam: float, a: float) -> np.ndarray:
-    """scad_penalty's three branches at every entry of b = |beta| at once.
-
-    _descend rewrites one entry at a time with the same float expressions.
-    """
-    a_lam, slope, lam_sq, denom, cap = _scad_constants(lam, a)
-    return np.where(b < lam, lam * b, np.where(b < a_lam, (b * b - slope * b + lam_sq) / denom, cap))
-
-
-def _objective(penalty: PenaltySpec, n: int):
-    """The sweep objective (1/2n) r'r + sum p_lam(|b_j|) as a function of (r'r, b)."""
-    lam, two_n = penalty.lam, 2.0 * n
-    if penalty.kind == "lasso":
-        return lambda resid_sq_sum, beta: resid_sq_sum / two_n + lam * float(np.abs(beta).sum())
-    return lambda resid_sq_sum, beta: resid_sq_sum / two_n + float(_scad_terms(np.abs(beta), lam, penalty.a).sum())
 
 
 @dataclass(frozen=True)
@@ -305,34 +287,37 @@ def _descend(
 
     resid = d.yc - d.xs @ beta
     g = d.xs.T @ resid / n
-    lam, scad = penalty.lam, penalty.kind == "scad"
+    lam, a, scad = penalty.lam, penalty.a, penalty.kind == "scad"
     c, yy, two_n = d.c, d.yy, 2.0 * n
-    if scad:
-        # one SCAD term per coordinate, rewritten whenever the sweep sets that
-        # coordinate; np.add.reduce over the same terms gives _objective's
-        # bits without re-evaluating all m of them every sweep
-        terms = _scad_terms(np.abs(beta), lam, penalty.a)
-        term_j = memoryview(terms)
-        _, slope, lam_sq, denom, cap = _scad_constants(lam, penalty.a)
-
-        def objective(resid_sq_sum: float, beta: np.ndarray) -> float:
-            return resid_sq_sum / two_n + float(terms.sum())
-
-    else:
-        objective = _objective(penalty, n)
-    history = [objective(float(resid @ resid), beta)]
-    # soft_threshold and scad_threshold inlined with the same float
-    # expressions; the lasso is the SCAD rule with its soft-threshold branch
-    # extended to every |z|
-    soft_limit = 2.0 * lam if scad else math.inf
-    a_lam, a_m1, a_m2 = penalty.a * lam, penalty.a - 1.0, penalty.a - 2.0
-    cov_rows, copysign = d.cov_rows, math.copysign
-    active_idx = np.nonzero(d.active)[0].tolist()
     # the scalar loop runs on Python floats: NumPy scalar arithmetic is
     # slower, and the memoryview reads g_j as a float while daxpy updates g
     # in place
     coef = beta.tolist()
     g_j = memoryview(g)
+    if scad:
+        # one scad_penalty term per coordinate (+0.0 for a zero coefficient on
+        # every branch), rewritten whenever the sweep sets that coordinate, so
+        # a sweep sums the terms without re-evaluating all m of them
+        terms = np.zeros(m)
+        term_j = memoryview(terms)
+        for j in np.flatnonzero(beta).tolist():
+            term_j[j] = scad_penalty(abs(coef[j]), lam, a)
+        # scad_penalty's blend with its constants hoisted; dividing by -2(a-1)
+        # gives the bits of negating and dividing by 2(a-1)
+        slope, lam_sq, denom, cap = 2.0 * a * lam, lam * lam, -2.0 * (a - 1.0), (a + 1.0) * lam * lam / 2.0
+
+    def objective(resid_sq_sum: float, beta: np.ndarray) -> float:
+        """(1/2n) r'r + sum p_lam(|b_j|)."""
+        return resid_sq_sum / two_n + (float(terms.sum()) if scad else lam * float(np.abs(beta).sum()))
+
+    history = [objective(float(resid @ resid), beta)]
+    # soft_threshold and scad_threshold inlined with the same float
+    # expressions; the lasso is the SCAD rule with its soft-threshold branch
+    # extended to every |z|
+    soft_limit = 2.0 * lam if scad else math.inf
+    a_lam, a_m1, a_m2 = a * lam, a - 1.0, a - 2.0
+    cov_rows, copysign = d.cov_rows, math.copysign
+    active_idx = np.nonzero(d.active)[0].tolist()
 
     converged = False
     sweeps = 0
@@ -359,7 +344,7 @@ def _descend(
                 # because f2py's keyword parsing costs 1.6x (350 against 215 ns)
                 daxpy(cov_rows[j], g, m, -delta)
                 coef[j] = new
-                if scad:  # _scad_terms' rule at b = |new|
+                if scad:  # scad_penalty at b = |new|
                     b = abs(new)
                     term_j[j] = lam * b if b < lam else (b * b - slope * b + lam_sq) / denom if b < a_lam else cap
                 if abs(delta) > max_delta:
@@ -423,15 +408,15 @@ def _fit(d: _Standardized, penalty: PenaltySpec, tol: float, max_iter: int, beta
     return RegressionFit(beta_orig, beta0, penalty, support, converged, sweeps, objective_history=history)
 
 
-def _lasso_then(d: _Standardized, kind: str, lam: float, a: float, tol: float, max_iter: int, lasso_init) -> tuple:
+def _lasso_then(d: _Standardized, kind: str, lam: float, tol: float, max_iter: int, lasso_init) -> tuple:
     """(lasso at lam from lasso_init, fit of kind at lam); SCAD starts from that lasso to tame its non-convexity."""
-    lasso = _fit(d, PenaltySpec("lasso", lam, a), tol, max_iter, lasso_init)
-    return lasso, (lasso if kind == "lasso" else _fit(d, PenaltySpec("scad", lam, a), tol, max_iter, lasso.beta))
+    lasso = _fit(d, PenaltySpec("lasso", lam), tol, max_iter, lasso_init)
+    return lasso, (lasso if kind == "lasso" else _fit(d, PenaltySpec("scad", lam), tol, max_iter, lasso.beta))
 
 
-def scad_fit(x, y, lam: float, a: float = 3.7, tol: float = TOL, max_iter: int = MAX_ITER) -> RegressionFit:
+def scad_fit(x, y, lam: float, tol: float = TOL, max_iter: int = MAX_ITER) -> RegressionFit:
     """SCAD at a fixed lambda, warm-started from the lasso at that lambda on the same standardized design."""
-    return _lasso_then(_sparse_design(x, y), "scad", lam, a, tol, max_iter, None)[1]
+    return _lasso_then(_sparse_design(x, y), "scad", lam, tol, max_iter, None)[1]
 
 
 def lambda_max(x, y) -> float:
@@ -443,7 +428,6 @@ def tune_penalized(
     x,
     y,
     kind: str,
-    a: float = 3.7,
     n_points: int = 20,
 ) -> tuple[RegressionFit, float, np.ndarray, np.ndarray]:
     """Pick lambda on a warm-started path, scored by chronological validation MSE.
@@ -480,7 +464,7 @@ def tune_penalized(
     lasso_warm = None
     for i, lam in enumerate(grid):
         # warm starts pass through the input scale, as with penalized_fit
-        lasso, fit = _lasso_then(d, kind, float(lam), a, TOL, MAX_ITER, lasso_warm)
+        lasso, fit = _lasso_then(d, kind, float(lam), TOL, MAX_ITER, lasso_warm)
         lasso_warm = lasso.beta
         err = y_val - (fit.beta0 + x_val @ fit.beta)
         val_mse[i] = float(np.mean(err**2))
@@ -489,7 +473,7 @@ def tune_penalized(
     cutoff = float(val_mse.min()) * PARSIMONY_RATIO
     best = int(np.argmax(val_mse <= cutoff))  # grid is descending, so first hit = largest lambda
     best_lam = float(grid[best])
-    final = penalized_fit(x, y, PenaltySpec(kind, best_lam, a), beta_init=path_betas[best])
+    final = penalized_fit(x, y, PenaltySpec(kind, best_lam), beta_init=path_betas[best])
     return final, best_lam, grid, val_mse
 
 
@@ -539,29 +523,29 @@ class SelectionReport:
 def select_features(
     fit: RegressionFit,
     names: list[str],
-    alpha: float = 0.05,
     dataset_label: str = "",
     feature_scale: np.ndarray | None = None,
 ) -> SelectionReport:
-    """Turn a fit into a per-feature report.
+    """Turn a fit into a per-feature report that selects the fit's support.
 
-    Sparse fits select their nonzero support; ridge/OLS fits select by an
-    approximate t-test at level alpha (see _least_squares). If the fit
-    was run on standardized features, pass the standard deviations as
+    Sparse fits support their nonzero coefficients, ridge/OLS fits the
+    slopes whose approximate t-test clears ALPHA (see _least_squares),
+    and their rows also carry t and p. If the fit was run on
+    standardized features, pass the standard deviations as
     feature_scale so reported coefficients land on the original scale.
     """
     if len(names) != len(fit.beta):
         raise ShapeError(f"{len(names)} names for {len(fit.beta)} coefficients")
     scale = np.ones(len(names)) if feature_scale is None else np.asarray(feature_scale, dtype=np.float64)
     coefs = fit.beta / np.where(scale == 0, 1.0, scale)
-
-    rows = []
-    if fit.penalty.kind in ("lasso", "scad"):
-        in_support = set(fit.support)
-        for j, name in enumerate(names):
-            rows.append(SelectionRow(name, float(coefs[j]), None, None, j in in_support))
-    else:
-        t, p = fit.t_stats, fit.p_values
-        for j, name in enumerate(names):
-            rows.append(SelectionRow(name, float(coefs[j]), float(t[j]), float(p[j]), bool(p[j] < alpha)))
-    return SelectionReport(rows=rows, penalty=fit.penalty, dataset_label=dataset_label, alpha=alpha)
+    in_support = set(fit.support)
+    rows = [
+        SelectionRow(
+            name, float(coefs[j]),
+            None if fit.t_stats is None else float(fit.t_stats[j]),
+            None if fit.p_values is None else float(fit.p_values[j]),
+            j in in_support,
+        )
+        for j, name in enumerate(names)
+    ]
+    return SelectionReport(rows=rows, penalty=fit.penalty, dataset_label=dataset_label, alpha=ALPHA)

@@ -135,6 +135,16 @@ class TestSelectCommand:
         assert report["n_selected"] == 0
         assert "warning" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_lambda_that_is_not_finite_and_non_negative_exits_before_the_panel_loads(
+        self, tiny_config, tmp_path, capsys, monkeypatch, value
+    ):
+        """NaN used to select every feature and write a `"lam": NaN` that is not JSON, inf to select none."""
+        monkeypatch.setattr(cli, "load_panel", lambda data: pytest.fail("the panel was loaded"))
+        assert run("select", "--config", tiny_config, "--out", str(tmp_path / "o"), f"--lambda={value}") == 1
+        assert capsys.readouterr().err == f"error: scad_lambda must be a finite number >= 0, got {float(value)}\n"
+        assert not os.path.exists(tmp_path / "o" / "scad_selection.json")
+
     def test_missing_csv_is_data_error(self, tmp_path, capsys):
         cfg = {"data": {"source": "csv", "csv_paths": [str(tmp_path / "missing.csv")]}}
         path = tmp_path / "c.json"
@@ -708,8 +718,13 @@ def selecting(*names, unselected=()):
         ("config", {"data": {"source": "csv"}}, 1, "config.data: source is 'csv' but csv_paths is empty"),
         ("config", {"data": {"source": "csv", "csv_paths": ["panel.csv"], "synthetic": {"n_days": 50, "seed": 9}}},
          1, "config.data: synthetic must keep its defaults on the csv source"),
-        ("config", {"selection": {"alpha": 2}}, 1, "error: config.selection: alpha must be in (0, 1), got 2"),
-        ("config", {"selection": {"scad_a": 1.5}}, 1, "error: config.selection: scad_a must be > 2, got 1.5"),
+        ("config", {"selection": {"alpha": 2}}, 1, "error: unknown key config.selection.alpha"),
+        ("config", {"selection": {"scad_a": 1.5}}, 1, "error: unknown key config.selection.scad_a"),
+        ("config", {"selection": {"ridge_lambda": 5.0}}, 1, "error: unknown key config.selection.ridge_lambda"),
+        ("config", {"selection": {"scad_lambda": -1}}, 1,
+         "error: config.selection: scad_lambda must be a finite number >= 0, got -1"),
+        ("config", {"selection": {"scad_lambda": float("nan")}}, 1, "invalid JSON (NaN is not a JSON number)"),
+        ("config", '{"selection": {"scad_lambda": 1e999}}', 1, "invalid JSON (number 1e999 is out of range)"),
         ("config", {"model": {"learning_rate": 0}}, 1, "error: config.model: learning_rate must be > 0, got 0"),
         ("config", {"selection": {"grid_points": 0}}, 1, "config.selection: grid_points must be >= 1"),
         ("config", {"train_fraction": 1.5}, 1, "error: config: train_fraction must be in (0, 1), got 1.5"),
@@ -725,6 +740,9 @@ def selecting(*names, unselected=()):
         ("rr_selection.json", SELECTION | {"selected_names": ["macro_01"]}, 2, "rr_selection.selected_names"),
         ("rr_selection.json", SELECTION | {"n_selected": 3}, 2, "rr_selection.n_selected"),
         ("rr_selection.json", SELECTION | {"n_features": 999}, 2, "rr_selection.n_features"),
+        ("rr_selection.json", SELECTION | {"alpha": float("nan")}, 2, "invalid JSON (NaN is not a JSON number)"),
+        ("rr_selection.json", json.dumps(SELECTION).replace("0.05", "-1e999"), 2,
+         "invalid JSON (number -1e999 is out of range)"),
         ("rr_selection.json", SELECTION | {"penalty": {"kind": "ridge", "lambda": 1.0, "a": None}}, 2,
          "rr_selection.penalty.lambda"),
         ("rr_selection.json", selecting("macro_01", "macro_01"), 2, "['macro_01'] are listed more than once"),
@@ -741,28 +759,32 @@ def selecting(*names, unselected=()):
         ("checkpoint.json", NO_TARGET_CHECKPOINT, 2, "lack the panel's target 'price'"),
         ("checkpoint.json", NAN_PARAM_CHECKPOINT, 2, "checkpoint.params.dense_b"),
         ("checkpoint.json", CHECKPOINT, 2, "SHA-256"),
+        ("checkpoint.json", CHECKPOINT | {"train_fraction": float("inf")}, 2,
+         "invalid JSON (Infinity is not a JSON number)"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
         "config-alpha-string", "config-model-number", "config-unknown-model-key", "config-model-loss",
         "config-model-init-scheme", "config-synthetic-other-target", "config-synthetic-csv-paths",
         "config-synthetic-date-column", "config-csv-without-paths", "config-csv-synthetic", "config-alpha-out-of-range",
-        "config-scad-a-out-of-range", "config-learning-rate-zero",
+        "config-scad-a-out-of-range", "config-ridge-lambda", "config-scad-lambda-negative",
+        "config-scad-lambda-nan", "config-scad-lambda-overflows", "config-learning-rate-zero",
         "config-grid-points-zero", "config-train-fraction-out-of-range", "config-synthetic-macro",
         "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
         "selection-names-disagree-with-rows", "selection-count-disagrees-with-rows",
-        "selection-width-disagrees-with-rows", "selection-old-penalty-format",
+        "selection-width-disagrees-with-rows", "selection-nan", "selection-overflows", "selection-old-penalty-format",
         "selection-repeats-a-column", "selection-selects-the-target", "selection-repeats-an-unselected-row",
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-v3", "checkpoint-v2", "checkpoint-v1", "checkpoint-repeats-a-column", "checkpoint-lacks-target",
-        "checkpoint-nan-param", "checkpoint-fixture-fails-only-its-sha",
+        "checkpoint-nan-param", "checkpoint-fixture-fails-only-its-sha", "checkpoint-infinity",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):
     """A malformed config or flag exits 1, a malformed selection report or checkpoint 2: one error line, no traceback.
 
-    A name starting with "--" is a compare flag given the value `doc`; the rest name a JSON file holding `doc`.
+    A name starting with "--" is a compare flag given the value `doc`; the rest name a JSON file holding `doc`,
+    as written by json.dumps, or `doc` itself when it is a string.
     """
     out = tmp_path / "o"
     out.mkdir()
@@ -770,7 +792,7 @@ def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, k
         command, config, flags = "compare", tiny_config, [name, doc]
     else:
         path = tmp_path / "bad.json" if name == "config" else out / name
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         config = str(path) if name == "config" else tiny_config
         command, flags = ("evaluate" if name == "checkpoint.json" else "train"), []
     src = os.path.dirname(os.path.dirname(hybridcast.__file__))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hybridcast.config import DataConfig, ExperimentConfig, SelectionConfig, load_experiment_config, load_panel
 from hybridcast.errors import ConfigError, DataError
 from hybridcast.jsonio import from_json
+from hybridcast.neural import ModelConfig
 
 
 def test_defaults_give_synthetic_experiment():
@@ -21,7 +23,10 @@ def test_defaults_give_synthetic_experiment():
 
 
 def test_readme_config_block_loads(tmp_path):
-    """The README's documented config, its // comments stripped, is a valid config of the default experiment."""
+    """The README's documented config, its // comments stripped, is a valid config of the default experiment.
+
+    It names every key of the top level, `selection` and `model`, and no other; `data.synthetic` lists some.
+    """
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
     path = tmp_path / "readme.json"
@@ -31,6 +36,9 @@ def test_readme_config_block_loads(tmp_path):
     assert config.data.synthetic == default.data.synthetic
     assert config.selection == SelectionConfig()
     assert (config.model, config.seeds, config.train_fraction) == (default.model, default.seeds, default.train_fraction)
+    doc = json.loads(path.read_text())
+    for keys, cls in ((doc, ExperimentConfig), (doc["selection"], SelectionConfig), (doc["model"], ModelConfig)):
+        assert list(keys) == [f.name for f in dataclasses.fields(cls)], cls.__name__
 
 
 def test_readme_csv_block_loads():

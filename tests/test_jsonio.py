@@ -22,7 +22,7 @@ CKPT_CONFIG = ModelConfig(variant="cnn_lstm", hidden_size=2, out_channels=1, see
 DOCUMENTS = {
     "ExperimentConfig": ExperimentConfig(
         data=DataConfig(source="csv", csv_paths=["close.csv", "macro.csv"], date_column="day", target_column="close"),
-        selection=SelectionConfig(alpha=0.1, ridge_lambda=5.0, scad_a=3.0, grid_points=4),
+        selection=SelectionConfig(scad_lambda=0.25, grid_points=4),
         model=ModelConfig(variant="cnn_lstm", epochs=12, learning_rate=0.01, seed=3),
         seeds=[4, 5],
         train_fraction=0.8,
@@ -111,3 +111,24 @@ def test_failed_atomic_write_keeps_the_old_file(tmp_path, monkeypatch, text, fau
         atomic_write_text(path, text)
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize(
+    "number,message",
+    [("NaN", "NaN is not a JSON number"), ("Infinity", "Infinity is not a JSON number"),
+     ("-Infinity", "-Infinity is not a JSON number"), ("1e999", "number 1e999 is out of range"),
+     ("-1e999", "number -1e999 is out of range")],
+    ids=["nan", "infinity", "minus-infinity", "overflow", "minus-overflow"],
+)
+def test_non_finite_number_is_invalid_json(tmp_path, number, message):
+    """Python's json reads these as nan or +-inf; here they fail as invalid JSON, with the error the caller names."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"x": [1.5, %s]}' % number)
+    with pytest.raises(DataError, match=rf"doc\.json: invalid JSON \({message}\)$"):
+        read_json(path, "document", DataError)
+
+
+def test_largest_finite_numbers_still_read(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"x": [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 1e-400]}')
+    assert read_json(path, "document", DataError) == {"x": [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 0.0]}

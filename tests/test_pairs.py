@@ -50,6 +50,7 @@ def test_broken_runs_are_printed_and_fail(pairs, tmp_path, monkeypatch, capsys, 
     report = json.loads(out.read_text())
     assert report["seeds"] == [first_seed, first_seed + 1]
     assert report["src_statements"] == {"parent": 0, "change": 0}
+    assert report["src_statements_by_module"] == {"parent": {}, "change": {}}
     figures = report["workloads"]["train-dilated"]["figures"]
     assert set(figures) == {"gradcheck_s", "sessions"}  # numeric figures only
     s0 = first_seed
@@ -85,6 +86,33 @@ def test_statement_count_ignores_line_layout_and_docstrings(pairs, tmp_path):
     module.write_text("total = 1 + 2\ndef f(): return total\n")
     assert pairs.src_lines(tmp_path) == 2 < lines
     assert pairs.src_statements(tmp_path) == statements == 3
+
+
+def test_statements_are_counted_per_module_and_changes_printed(pairs, tmp_path, monkeypatch, capsys):
+    """The report keeps every module's count; the printout gives the totals and each module that changed."""
+    modules = {"parent": {"m.py": "a = 1\nb = 2\n", "n.py": "c = 3\n", "gone.py": "d = 4\n"},
+               "change": {"m.py": "a = 1\n", "n.py": '"""Doc."""\nc = 3\n', "pkg/new.py": "e = 5\nf = 6\n"}}
+    for side, files in modules.items():
+        for name, text in files.items():
+            (tmp_path / side / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / "src" / name).write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    monkeypatch.setattr(pairs, "bench", fake_bench(()))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--pairs", "2", "--workload", "select-mc", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["src_statements_by_module"] == {"parent": {"gone.py": 1, "m.py": 2, "n.py": 1},
+                                                  "change": {"m.py": 1, "n.py": 1, "pkg/new.py": 2}}
+    assert report["src_statements"] == {"parent": 4, "change": 4}
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("src statements")]
+    assert printed == [
+        "src statements: parent 4, change 4 (+0)",
+        "src statements gone.py: parent 1, change 0 (-1)",
+        "src statements m.py: parent 2, change 1 (-1)",
+        "src statements pkg/new.py: parent 0, change 2 (+2)",
+    ]
 
 
 @pytest.fixture

@@ -641,8 +641,8 @@ class TestSelectPanelFeatures:
         frame, _ = small_panel
         fit = pipeline.regsel.scad_fit
 
-        def one_sweep(x, y, lam, a=3.7, tol=1e-7, max_iter=1000):
-            return fit(x, y, lam, a, tol, 1)
+        def one_sweep(x, y, lam, tol=1e-7, max_iter=1000):
+            return fit(x, y, lam, tol, 1)
 
         monkeypatch.setattr(pipeline.regsel, "scad_fit", one_sweep)
         with pytest.warns(RuntimeWarning, match=r"lambda=0\.05 did not converge in 1 sweeps"):

@@ -321,26 +321,6 @@ class TestPenalizedFit:
             hist = np.array(f.objective_history)
             assert np.all(np.diff(hist) <= 1e-10 * np.maximum(1.0, np.abs(hist[:-1])))
 
-    def test_vectorised_scad_objective_matches_scalar_penalty(self, rng):
-        lam, a = 0.4, 3.7
-        beta = np.concatenate([
-            rng.uniform(-2.0, 2.0, 40),
-            [0.0, lam, -lam, 2 * lam, a * lam, -a * lam, np.nextafter(a * lam, 0.0)],
-        ])
-        got = regsel._objective(PenaltySpec("scad", lam, a), n=1)(0.0, beta)
-        expected = sum(regsel.scad_penalty(abs(b), lam, a) for b in beta)
-        assert got == pytest.approx(expected, rel=1e-13)
-
-    def test_scad_terms_have_the_scalar_penalty_bits(self, rng):
-        """lam = 0.4 puts different bits on the two sides of both breakpoints, so a moved boundary shows."""
-        lam, a = 0.4, 3.7
-        b = np.concatenate([
-            rng.uniform(0.0, 2.0, 40),
-            [0.0, lam, np.nextafter(lam, 0.0), 2 * lam, a * lam, np.nextafter(a * lam, 0.0)],
-        ])
-        expected = np.array([regsel.scad_penalty(v, lam, a) for v in b])
-        assert regsel._scad_terms(b, lam, a).tobytes() == expected.tobytes()
-
 
 def residual_update_cd(x, y, penalty, tol=1e-7, max_iter=1000, beta_init=None):
     """Plain cyclic coordinate descent that keeps the residual, O(n) per update.
@@ -415,7 +395,7 @@ class TestSweepObjective:
                 xs, yc, x_sd = standardized(x, y)
                 beta_std = fit.beta * x_sd
                 r = yc - xs @ beta_std
-                expected = regsel._objective(penalty, n)(float(r @ r), beta_std)
+                expected = keyword_objective(float(r @ r), beta_std, penalty, n)
                 assert fit.objective_history[-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -646,7 +626,7 @@ class TestTunePenalized:
     @pytest.mark.parametrize("kind", ["lasso", "scad"])
     def test_path_fits_equal_independent_penalized_fits(self, rng, monkeypatch, kind):
         """The path runs on one standardized design; each fit keeps penalized_fit's bits."""
-        n, m, n_points, a = 200, 9, 8, 3.7
+        n, m, n_points = 200, 9, 8
         x = 0.7 * rng.standard_normal((n, 1)) + rng.standard_normal((n, m))
         x = x * rng.uniform(0.5, 3.0, m) + rng.uniform(-2.0, 2.0, m)
         y = x[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
@@ -660,19 +640,19 @@ class TestTunePenalized:
             return beta, sweeps, converged, history
 
         monkeypatch.setattr(regsel, "_descend", recording)
-        final, best_lam, grid, val_mse = regsel.tune_penalized(x, y, kind, a=a, n_points=n_points)
+        final, best_lam, grid, val_mse = regsel.tune_penalized(x, y, kind, n_points=n_points)
         monkeypatch.setattr(regsel, "_descend", descend)
 
         n_tr = n - int(round(0.1 * n))
         x_tr, y_tr = x[:n_tr], y[:n_tr]
         expected, scored, warm = [], [], None
         for lam in grid:
-            lasso = regsel.penalized_fit(x_tr, y_tr, PenaltySpec("lasso", float(lam), a), beta_init=warm)
+            lasso = regsel.penalized_fit(x_tr, y_tr, PenaltySpec("lasso", float(lam)), beta_init=warm)
             warm = lasso.beta
             expected.append(lasso)
             if kind == "scad":
                 expected.append(
-                    regsel.penalized_fit(x_tr, y_tr, PenaltySpec("scad", float(lam), a), beta_init=lasso.beta)
+                    regsel.penalized_fit(x_tr, y_tr, PenaltySpec("scad", float(lam)), beta_init=lasso.beta)
                 )
             scored.append(expected[-1])
 
@@ -684,7 +664,7 @@ class TestTunePenalized:
         for i, fit in enumerate(scored):
             assert val_mse[i] == float(np.mean((y[n_tr:] - fit.predict(x[n_tr:])) ** 2))
         best = list(grid).index(best_lam)
-        refit = regsel.penalized_fit(x, y, PenaltySpec(kind, best_lam, a), beta_init=scored[best].beta)
+        refit = regsel.penalized_fit(x, y, PenaltySpec(kind, best_lam), beta_init=scored[best].beta)
         assert final.beta.tobytes() == refit.beta.tobytes()
         assert (final.iterations, final.converged) == (refit.iterations, refit.converged)
 
@@ -736,11 +716,22 @@ class TestSelectFeatures:
         assert report.selected_names == ["b", "d"]
         assert report.rows[0].t is None
 
+    def test_ridge_report_selects_the_fit_support(self):
+        """The report reads the fit's support and carries t and p; it does not test p again."""
+        fit = RegressionFit(
+            beta=np.array([1.0, 2.0, 3.0]), beta0=0.0, penalty=PenaltySpec("ridge", 1.0), support=(1,),
+            converged=True, iterations=1, t_stats=np.array([9.0, 0.1, 5.0]), p_values=np.array([0.001, 0.9, 0.02]),
+        )
+        report = regsel.select_features(fit, ["a", "b", "c"], dataset_label="rr")
+        assert report.selected_names == ["b"]
+        assert [(r.t, r.p) for r in report.rows] == [(9.0, 0.001), (0.1, 0.9), (5.0, 0.02)]
+        assert report.alpha == regsel.ALPHA
+
     def test_ridge_report_covers_all_features(self, rng):
         x = rng.standard_normal((100, 4))
         y = x @ np.array([3.0, 0.0, -3.0, 0.0]) + 0.5 * rng.standard_normal(100)
         fit = regsel.ridge_fit(x, y, lam=1.0)
-        report = regsel.select_features(fit, list("abcd"), alpha=0.05, dataset_label="rr")
+        report = regsel.select_features(fit, list("abcd"), dataset_label="rr")
         assert len(report.rows) == 4
         assert all(r.p is not None for r in report.rows)
         selected = set(report.selected_names)
@@ -755,7 +746,7 @@ class TestSelectFeatures:
         monkeypatch.setattr(regsel.numcore, "solve_spd", lambda a, b: solves.append(1) or real_solve(a, b))
         fit = regsel.ridge_fit(x, y, lam=3.0)
         assert len(solves) == 1  # the coefficients and the slope covariance share one factor
-        report = regsel.select_features(fit, list("abcde"), alpha=0.05, dataset_label="rr")
+        report = regsel.select_features(fit, list("abcde"), dataset_label="rr")
         assert len(solves) == 1
 
         xc, yc = x - x.mean(axis=0), y - y.mean()
@@ -767,6 +758,7 @@ class TestSelectFeatures:
         assert np.allclose(fit.t_stats, fit.beta / se, rtol=1e-10)
         assert [r.t for r in report.rows] == [float(t) for t in fit.t_stats]
         assert [r.p for r in report.rows] == [float(p) for p in fit.p_values]
+        assert fit.support == tuple(j for j, p in enumerate(fit.p_values) if p < regsel.ALPHA)
         assert report.selected_names == [n for n, p in zip("abcde", fit.p_values) if p < 0.05]
 
     def test_json_roundtrip(self, tmp_path):

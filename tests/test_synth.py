@@ -92,7 +92,7 @@ class TestRidgeKeepsBroadSet:
         x, y, names = lagged_design(frame)
         xs = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         fit = regsel.ridge_fit(xs, y, lam=float(len(y)))
-        report = regsel.select_features(fit, names, alpha=0.05, dataset_label="rr")
+        report = regsel.select_features(fit, names, dataset_label="rr")
         assert len(report.rows) == 53  # ridge reports every feature
         assert report.n_selected > 53 // 2
 

@@ -15,7 +15,9 @@ and the number of pairs in which the change is lower (better); per
 numeric value of the run's ``figures (...)`` line (raw seconds per
 command, counts), both sides' median and every value; every
 run's correctness; and the ``src/`` line and statement counts of both
-checkouts. For each workload and metric it prints one summary line: both
+checkouts, the statements also per module. Before the runs it prints
+both sides' statement counts: the totals, then each module whose count
+differs. For each workload and metric it prints one summary line: both
 medians, the change's median against the parent's in %, and the pairs
 the change won.
 After writing the file it prints every run that is not correct or has a
@@ -50,15 +52,31 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
-def src_statements(root: Path) -> int:
-    """AST statements in ``src/``, docstrings excluded: reformatting or joining lines leaves it unchanged."""
-    total = 0
+def module_statements(root: Path) -> dict[str, int]:
+    """AST statements per module of ``src/``, keyed by its path there, docstrings excluded:
+    reformatting or joining lines leaves a count unchanged."""
+    counts = {}
     for p in sorted((root / "src").rglob("*.py")):
+        count = 0
         for node in ast.walk(ast.parse(p.read_text())):
             docstring = (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
                          and isinstance(node.value.value, str))
-            total += isinstance(node, ast.stmt) and not docstring
-    return total
+            count += isinstance(node, ast.stmt) and not docstring
+        counts[p.relative_to(root / "src").as_posix()] = count
+    return counts
+
+
+def src_statements(root: Path) -> int:
+    return sum(module_statements(root).values())
+
+
+def statement_lines(by_module: dict) -> list[str]:
+    """The total statement count of both sides, then one line per module whose count differs."""
+    parent, change = by_module["parent"], by_module["change"]
+    rows = [("", sum(parent.values()), sum(change.values()))]
+    rows += [(" " + m, parent.get(m, 0), change.get(m, 0)) for m in sorted(parent.keys() | change.keys())
+             if parent.get(m, 0) != change.get(m, 0)]
+    return [f"src statements{name}: parent {p}, change {c} ({c - p:+d})" for name, p, c in rows]
 
 
 def summary(values: list[float]) -> dict:
@@ -97,9 +115,13 @@ def main(argv=None) -> int:
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    by_module = {side: module_statements(root) for side, root in sides.items()}
     report = {"run_seconds": seconds, "pairs": args.pairs, "seeds": seeds, "workloads": {},
               "src_lines": {side: src_lines(root) for side, root in sides.items()},
-              "src_statements": {side: src_statements(root) for side, root in sides.items()}}
+              "src_statements": {side: sum(counts.values()) for side, counts in by_module.items()},
+              "src_statements_by_module": by_module}
+    for line in statement_lines(by_module):
+        print(line, flush=True)
     for workload in args.workload:
         runs, figures = {"parent": [], "change": []}, {"parent": [], "change": []}
         for seed in seeds:
