@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--selection", help="selection report JSON (default: <out>/rr_selection.json)")
     p.add_argument("--all-features", action="store_true", help="ignore selection files, use every feature")
     p.add_argument("--epochs", type=int, help="override training epochs")
-    p.add_argument("--dilation", type=int, help="override dilation rate")
+    p.add_argument("--dilation", type=int, help="override the dilated variant's rate")
     p.add_argument("--variant", help="override architecture variant")
 
     p = sub.add_parser("evaluate", help="re-score a trained checkpoint on the config's panel")
@@ -120,8 +120,6 @@ def cmd_select(args) -> int:
 def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
-    if args.variant is not None and args.dilation is None:
-        config.model.dilation = None  # re-resolved for the new variant by __post_init__
     config.model = _override(config.model, epochs=args.epochs, dilation=args.dilation, variant=args.variant)
 
     if args.all_features:
@@ -172,8 +170,6 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     config = load_experiment_config(args.config)
     out = _ensure_out(args.out)
-    if config.model.variant != "dilated_cnn_lstm":  # each cell sets its variant; the dilated cells take this config
-        config.model = dataclasses.replace(config.model, variant="dilated_cnn_lstm", dilation=None)
     config.model = _override(config.model, epochs=args.epochs)
     if args.seeds is not None:
         try:

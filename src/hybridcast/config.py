@@ -15,7 +15,7 @@ experiment):
         "scad_lambda": null,                 # null -> validation-tuned path; else finite, >= 0
         "grid_points": 20                    # length of that path
       },
-      "model": { ...ModelConfig fields... },
+      "model": { ...ModelConfig fields... }, # dilation: the dilated variant's rate, >= 2
       "seeds": [1, 2, 3],                    # comparison seeds, distinct
       "train_fraction": 0.9
     }

@@ -116,8 +116,8 @@ def from_json(cls, raw, where: str, error: type[Exception]):
     """Check decoded JSON against a type and build a value of it.
 
     cls is a dataclass or an annotation its fields may carry: int,
-    float (ints accepted), str, bool, X | None, list[T], tuple[T, ...],
-    dict (any object) and dict[str, T].
+    float (an int too, if a float can hold it), str, bool, X | None,
+    list[T], tuple[T, ...], dict (any object) and dict[str, T].
     A dataclass is built from its fields, recursing into those that are
     dataclasses themselves; fields absent from the document keep their
     defaults. An init=False field is never passed to
@@ -161,6 +161,11 @@ def from_json(cls, raw, where: str, error: type[Exception]):
     if origin is dict and isinstance(raw, dict):
         return {k: from_json(args[1], v, f"{where}.{k}", error) for k, v in raw.items()}
     if origin is None and _is(raw, cls):
+        if cls is float and isinstance(raw, int):  # kept an int, so its bytes are written back as read
+            try:
+                float(raw)
+            except OverflowError:
+                raise error(f"{where}: {_shown(raw)} is out of a float's range") from None
         return raw
     expected = _EXPECTED.get(origin or cls) or cls.__name__
     raise error(f"{where}: expected {expected}, got {_shown(raw)}")

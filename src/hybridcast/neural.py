@@ -8,6 +8,9 @@ Four wirings of the same pieces are supported (see ForecastModel):
   cnn_lstm         conv(d=1, shape-preserving) -> per-step flatten -> LSTM -> head
   dilated_cnn_lstm same, with dilation d >= 2 and padding p = d
 
+d is ModelConfig.dilation, the dilated variant's rate. ForecastModel reads
+it once into conv_dilation, which is 1 for every other variant.
+
 The conv never runs as a layer. Nothing nonlinear sits between it and the
 weights that read its output (the LSTM input weights, or the cnn head as T
 rows of C*F weights, one per step), so the two are one linear map of the
@@ -393,10 +396,14 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float = 0.001) ->
 
 @dataclass
 class ModelConfig:
-    """Architecture variant plus training hyperparameters; Adam uses the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
+    """Architecture variant plus training hyperparameters; Adam uses the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+
+    dilation is the dilated_cnn_lstm conv's rate, whatever the variant:
+    the other variants' conv is always undilated.
+    """
 
     variant: str = "dilated_cnn_lstm"
-    dilation: int | None = None
+    dilation: int = 2
     window: int = 5
     hidden_size: int = 32
     out_channels: int = 16
@@ -408,12 +415,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.dilation is None:
-            self.dilation = 2 if self.variant == "dilated_cnn_lstm" else 1
-        if self.variant == "dilated_cnn_lstm" and self.dilation < 2:
-            raise ParameterError(f"dilated_cnn_lstm needs dilation >= 2, got {self.dilation}")
-        if self.variant in ("cnn", "lstm", "cnn_lstm") and self.dilation != 1:
-            raise ParameterError(f"variant {self.variant!r} requires dilation 1, got {self.dilation}")
+        if self.dilation < 2:
+            raise ParameterError(f"dilation is the dilated variant's rate and must be >= 2, got {self.dilation}")
         if self.window < 1:
             raise ParameterError(f"window must be >= 1, got {self.window}")
         if self.hidden_size < 1 or self.out_channels < 1:
@@ -452,8 +455,9 @@ class ForecastModel:
 
         self._uses_conv = config.variant != "lstm"
         self._uses_lstm = config.variant != "cnn"
+        self.conv_dilation = config.dilation if config.variant == "dilated_cnn_lstm" else 1
         # (u, offset) per (G, F) block E[u] of the input weights, centre first: step t reads window row t + offset
-        self._taps = [(1, 0), (0, -config.dilation), (2, config.dilation)] if self._uses_conv else [(0, 0)]
+        self._taps = [(1, 0), (0, -self.conv_dilation), (2, self.conv_dilation)] if self._uses_conv else [(0, 0)]
 
         expected = self._block_shapes()
         self.replicas = ()  # or (S,): the replica axis that leads every block, read by predict alone
@@ -545,7 +549,7 @@ class ForecastModel:
         """
         if not self._uses_conv:
             return w_x[..., None, :, :], 0.0
-        d, f, n_gates = self.config.dilation, self.n_features, w_x.shape[-3]
+        d, f, n_gates = self.conv_dilation, self.n_features, w_x.shape[-3]
         taps = np.matmul(self._kernel_and_bias().swapaxes(-1, -2)[..., None, :, :], w_x)
         per_tap = taps[..., :-1, :].reshape(*taps.shape[:-2], KERNEL_SIZE, KERNEL_SIZE, f)
         per_tap = per_tap.swapaxes(-4, -3)  # (u, g, v, f)
@@ -644,7 +648,7 @@ class ForecastModel:
         goes into grad_w_x (G, C, F), as one small GEMM per gate g; sum_g
         w_x[g] @ grad_taps[g].T is the [K | conv_bias] gradient.
         """
-        d, n_gates, f = self.config.dilation, len(grad_b), grad_e.shape[2]
+        d, n_gates, f = self.conv_dilation, len(grad_b), grad_e.shape[2]
         grad_taps = np.zeros((n_gates, KERNEL_SIZE**2 + 1, f))
         per_tap = grad_taps[:, :-1].reshape(n_gates, KERNEL_SIZE, KERNEL_SIZE, f).transpose(1, 0, 2, 3)  # a view
         for v in range(KERNEL_SIZE):

@@ -464,11 +464,10 @@ def evaluate(pred: np.ndarray, actual: np.ndarray) -> Metrics:
 
 
 @dataclass
-class MetricsRow:
+class MetricsRow(Metrics):
+    """A Metrics of one labelled cell, from one seed (-1 for a mean over seeds)."""
+
     label: str
-    mse: float
-    mae: float
-    mape: float
     seed: int
 
 
@@ -566,7 +565,7 @@ def score_forecasts(model: ForecastModel, split, target_name: str):
     with np.errstate(over="ignore", invalid="ignore"):  # evaluate reports non-finite forecasts
         preds = scaler.inverse_column(target_name, model.predict(test_b.inputs))
     m = evaluate(preds, test_b.targets_orig)
-    return MetricsRow(model.config.variant, m.mse, m.mae, m.mape, model.config.seed), preds
+    return MetricsRow(**vars(m), label=model.config.variant, seed=model.config.seed), preds
 
 
 def run_cells(cells, config: ModelConfig, seeds: list[int], target_name: str):
@@ -576,14 +575,13 @@ def run_cells(cells, config: ModelConfig, seeds: list[int], target_name: str):
     split share its scaler and batches. Cell k trains a fresh `variant`
     model with config's other settings from seed s + k * CELL_SEED_STRIDE,
     so cells are independent and reproducible, and its metrics row is
-    labelled (label, s). Only the dilated variant keeps config.dilation.
+    labelled (label, s). config.dilation is the dilated cells' rate.
     A generator: a caller that keeps only the rows holds one model at a
     time.
     """
     for seed in seeds:
         for k, (label, variant, split) in enumerate(cells):
-            dilation = config.dilation if variant == "dilated_cnn_lstm" else None
-            cfg = replace(config, variant=variant, dilation=dilation, seed=seed + k * CELL_SEED_STRIDE)
+            cfg = replace(config, variant=variant, seed=seed + k * CELL_SEED_STRIDE)
             scaler, train_b, test_b = split
             model = ForecastModel(cfg, n_features=len(scaler.names))
             history = fit_arrays(model, train_b.inputs, train_b.targets_std)

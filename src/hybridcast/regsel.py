@@ -52,8 +52,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ParameterError(f"unknown penalty kind {self.kind!r}, expected one of {PENALTY_KINDS}")
-        if self.lam < 0:
-            raise ParameterError(f"penalty strength must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:  # NaN fails both
+            raise ParameterError(f"penalty strength must be a finite number >= 0, got {self.lam}")
         if self.kind == "scad" and self.a <= 2:
             raise ParameterError(f"scad shape parameter must be > 2, got {self.a}")
 
@@ -209,7 +209,7 @@ def ridge_fit(x, y, lam: float, center: bool = True) -> RegressionFit:
     inference on comparable coefficients should standardize x first.
     """
     x, y = _check_xy(x, y)
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ParameterError(f"ridge requires lam > 0, got {lam}; use ols_fit for lam=0")
     return _least_squares(x, y, PenaltySpec("ridge", lam), center, x.shape[0] - x.shape[1])
 

@@ -464,6 +464,14 @@ class TestTrainEvaluateCommands:
         assert run("train", "--config", tiny_config, "--out", out, "--all-features", "--epochs", "-3") == 1
         assert run("train", "--config", tiny_config, "--out", out, "--all-features", "--variant", "rnn") == 1
 
+    def test_variant_flag_keeps_the_config_dilation(self, tmp_path):
+        """train --variant dilated_cnn_lstm on model.dilation 3 checkpoints dilation 3."""
+        config = write_json_file(tmp_path, TINY_CONFIG | {"model": TINY_CONFIG["model"] | {"dilation": 3}})
+        out = str(tmp_path / "o")
+        flags = ["--all-features", "--epochs", "0", "--variant", "dilated_cnn_lstm"]
+        assert run("train", "--config", config, "--out", out, *flags) == 0
+        assert json.load(open(os.path.join(out, "checkpoint.json")))["config"]["dilation"] == 3
+
 
 class TestCompareCommand:
     def test_five_rows_and_determinism(self, tiny_config, tmp_path):
@@ -528,6 +536,22 @@ class TestCompareCommand:
             files.append([read_bytes(os.path.join(out, name)) for name in (
                 "comparison.json", "comparison.txt", "comparison_per_seed.csv")])
         assert files[0] == files[1]
+
+    def test_dilated_cells_take_model_dilation_whatever_the_variant(self, tiny_config, tmp_path):
+        """model.dilation 3 writes one comparison.json under a cnn_lstm and a dilated_cnn_lstm model.variant,
+        and not the one of the default dilation 2."""
+        sel = str(tmp_path / "sel")
+        assert run("select", "--config", tiny_config, "--out", sel) == 0
+        flags = ["--rr-selection", os.path.join(sel, "rr_selection.json"),
+                 "--scad-selection", os.path.join(sel, "scad_selection.json")]
+        reports = []
+        for variant, dilation in (("cnn_lstm", 3), ("dilated_cnn_lstm", 3), ("dilated_cnn_lstm", 2)):
+            model = TINY_CONFIG["model"] | {"variant": variant, "dilation": dilation}
+            config = write_json_file(tmp_path, TINY_CONFIG | {"model": model}, f"{variant}-{dilation}.json")
+            out = str(tmp_path / f"{variant}-{dilation}")
+            assert run("compare", "--config", config, "--out", out, *flags) == 0
+            reports.append(read_bytes(os.path.join(out, "comparison.json")))
+        assert reports[0] == reports[1] != reports[2]
 
     def test_bad_seeds_flag(self, tiny_config, tmp_path):
         assert run("compare", "--config", tiny_config, "--out", str(tmp_path / "o"), "--seeds", "x") == 1
@@ -655,6 +679,16 @@ V1_CHECKPOINT = CHECKPOINT | {
     "feature_names": ["price", "macro_01"],
 }
 
+RATE_ONE_CONFIG = ModelConfig(variant="cnn", hidden_size=1)
+
+# a format-4 cnn checkpoint as written while the plain variants stored dilation 1, which is now refused
+RATE_ONE_CHECKPOINT = CHECKPOINT | {
+    "config": dataclasses.asdict(RATE_ONE_CONFIG) | {"dilation": 1},
+    "params": {k: dataclasses.asdict(v) for k, v in model_to_dict(ForecastModel(RATE_ONE_CONFIG, 2)).items()},
+}
+
+NO_FLOAT = "1" + "0" * 400  # a JSON int that no float holds
+
 REPEATED_NAME_CHECKPOINT = CHECKPOINT | {"names": ["price", "macro_01", "macro_01"]}
 
 NO_TARGET_CHECKPOINT = CHECKPOINT | {"names": ["macro_02", "macro_01"]}
@@ -726,6 +760,10 @@ def selecting(*names, unselected=()):
         ("config", {"selection": {"scad_lambda": float("nan")}}, 1, "invalid JSON (NaN is not a JSON number)"),
         ("config", '{"selection": {"scad_lambda": 1e999}}', 1, "invalid JSON (number 1e999 is out of range)"),
         ("config", {"model": {"learning_rate": 0}}, 1, "error: config.model: learning_rate must be > 0, got 0"),
+        ("config", f'{{"model": {{"learning_rate": {NO_FLOAT}}}}}', 1,
+         "error: config.model.learning_rate: 1000000000000000000000000000000000000... is out of a float's range"),
+        ("config", f'{{"selection": {{"scad_lambda": {NO_FLOAT}}}}}', 1,
+         "error: config.selection.scad_lambda: 1000000000000000000000000000000000000... is out of a float's range"),
         ("config", {"selection": {"grid_points": 0}}, 1, "config.selection: grid_points must be >= 1"),
         ("config", {"train_fraction": 1.5}, 1, "error: config: train_fraction must be in (0, 1), got 1.5"),
         ("config", {"data": {"synthetic": {"macro": 12}}}, 1, "config.data.synthetic.macro"),
@@ -761,6 +799,10 @@ def selecting(*names, unselected=()):
         ("checkpoint.json", CHECKPOINT, 2, "SHA-256"),
         ("checkpoint.json", CHECKPOINT | {"train_fraction": float("inf")}, 2,
          "invalid JSON (Infinity is not a JSON number)"),
+        ("checkpoint.json", json.dumps(CHECKPOINT).replace('"learning_rate": 0.001', f'"learning_rate": {NO_FLOAT}'),
+         2, "error: checkpoint.config.learning_rate: 1000000000000000000000000000000000000... is out of a float's range"),
+        ("checkpoint.json", RATE_ONE_CHECKPOINT, 2,
+         "error: checkpoint.config: dilation is the dilated variant's rate and must be >= 2, got 1"),
     ],
     ids=[
         "config-epochs-string", "config-seeds-string", "config-seeds-repeated", "flag-seeds-repeated",
@@ -769,6 +811,7 @@ def selecting(*names, unselected=()):
         "config-synthetic-date-column", "config-csv-without-paths", "config-csv-synthetic", "config-alpha-out-of-range",
         "config-scad-a-out-of-range", "config-ridge-lambda", "config-scad-lambda-negative",
         "config-scad-lambda-nan", "config-scad-lambda-overflows", "config-learning-rate-zero",
+        "config-learning-rate-int-overflows", "config-scad-lambda-int-overflows",
         "config-grid-points-zero", "config-train-fraction-out-of-range", "config-synthetic-macro",
         "config-synthetic-lag", "config-synthetic-start-date", "config-synthetic-exog-ar", "config-selection-lag",
         "selection-empty", "selection-list", "selection-row-selected-string", "selection-column-not-in-panel",
@@ -778,6 +821,7 @@ def selecting(*names, unselected=()):
         "checkpoint-no-config", "checkpoint-list", "checkpoint-params-disagree-with-config",
         "checkpoint-v3", "checkpoint-v2", "checkpoint-v1", "checkpoint-repeats-a-column", "checkpoint-lacks-target",
         "checkpoint-nan-param", "checkpoint-fixture-fails-only-its-sha", "checkpoint-infinity",
+        "checkpoint-learning-rate-int-overflows", "checkpoint-cnn-rate-one",
     ],
 )
 def test_malformed_input_names_the_key(tiny_config, tmp_path, name, doc, code, key):

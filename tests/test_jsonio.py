@@ -128,6 +128,16 @@ def test_non_finite_number_is_invalid_json(tmp_path, number, message):
         read_json(path, "document", DataError)
 
 
+def test_int_in_a_float_field_reads_as_written_while_a_float_holds_it():
+    """The int itself comes back, so it is written back as read; one past the float range names its key."""
+    largest = int(1.7976931348623157e308)
+    for value in (largest, -largest, 3):
+        got = from_json(float, value, "doc.x", DataError)
+        assert type(got) is int and got == value
+    with pytest.raises(DataError, match=r"^doc\.x: 10{36}\.\.\. is out of a float's range$"):
+        from_json(float, 10**400, "doc.x", DataError)
+
+
 def test_largest_finite_numbers_still_read(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text('{"x": [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 1e-400]}')

@@ -428,7 +428,8 @@ def unfolded_model(model, windows, grad_preds):
     if cfg.variant == "lstm":
         seq = windows
     else:
-        conv = Conv2dLayer(p["conv_kernel"], p["conv_bias"], dilation=cfg.dilation, padding=cfg.dilation)
+        d = cfg.dilation if cfg.variant == "dilated_cnn_lstm" else 1
+        conv = Conv2dLayer(p["conv_kernel"], p["conv_bias"], dilation=d, padding=d)
         conv_out, conv_cache = conv.forward(windows[:, None, :, :])
         seq = conv_out.transpose(0, 2, 1, 3).reshape(batch, t_steps, -1)
 
@@ -473,40 +474,44 @@ class TestFoldedInput:
 
     The fold is exact only while nothing nonlinear sits between the conv
     and the weights after it (LSTM gates or cnn head); these tests are the guard.
+    A wiring is (variant, the conv's rate): model.dilation for the dilated
+    variant, and 1 for the others, which the check builds with model.dilation 3.
     """
 
     WIRINGS = [("cnn", 1), ("cnn_lstm", 1), ("dilated_cnn_lstm", 2), ("dilated_cnn_lstm", 3), ("lstm", 1)]
 
-    @pytest.mark.parametrize("variant,dilation", WIRINGS)
-    def test_matches_unfolded_model(self, variant, dilation, rng):
-        self.check(variant, dilation, rng)
+    @pytest.mark.parametrize("variant,rate", WIRINGS)
+    def test_matches_unfolded_model(self, variant, rate, rng):
+        self.check(variant, rate, rng)
 
-    @pytest.mark.parametrize("variant,dilation", WIRINGS)
+    @pytest.mark.parametrize("variant,rate", WIRINGS)
     @pytest.mark.parametrize(
         "shape",
         [{"out_channels": 1}, {"n_features": 1}, {"hidden_size": 1}, {"batch": 1}, {"zero_conv_bias": True}],
         ids=["one-channel", "one-feature", "one-unit", "one-window", "zero-conv-bias"],
     )
-    def test_degenerate_shapes_match_unfolded_model(self, variant, dilation, shape, rng):
-        self.check(variant, dilation, rng, **shape)
+    def test_degenerate_shapes_match_unfolded_model(self, variant, rate, shape, rng):
+        self.check(variant, rate, rng, **shape)
 
     @pytest.mark.parametrize(
-        "variant,dilation,window",
+        "variant,rate,window",
         [("dilated_cnn_lstm", d, w) for d in (2, 3, 5) for w in (1, 2, 3)]
         + [(variant, 1, w) for variant in ("cnn_lstm", "cnn", "lstm") for w in (1, 2)],
     )
-    def test_short_windows_match_unfolded_model(self, variant, dilation, window, rng):
+    def test_short_windows_match_unfolded_model(self, variant, rate, window, rng):
         """Windows no longer than the dilation: some or all of the outer kernel rows read only padding."""
-        self.check(variant, dilation, rng, window=window)
+        self.check(variant, rate, rng, window=window)
 
     @staticmethod
     def check(
-        variant, dilation, rng, out_channels=16, n_features=35, hidden_size=32, batch=64, zero_conv_bias=False, window=5
+        variant, rate, rng, out_channels=16, n_features=35, hidden_size=32, batch=64, zero_conv_bias=False, window=5
     ):
+        dilation = rate if variant == "dilated_cnn_lstm" else 3
         cfg = ModelConfig(
             variant=variant, dilation=dilation, window=window, hidden_size=hidden_size, out_channels=out_channels, seed=7
         )
         model = ForecastModel(cfg, n_features=n_features)
+        assert model.conv_dilation == rate
         if zero_conv_bias and "conv_bias" in model.params:
             model.params["conv_bias"][:] = 0.0
         windows = rng.standard_normal((batch, window, n_features))
@@ -638,8 +643,10 @@ class TestModelConfig:
             ModelConfig(variant="dilated_cnn_lstm", dilation=1)
 
     def test_cnn_lstm_requires_rate_one(self):
-        with pytest.raises(ParameterError):
-            ModelConfig(variant="cnn_lstm", dilation=2)
+        """model.dilation is the dilated variant's rate: cnn_lstm's conv runs at rate 1 whatever it says, and 1 is refused."""
+        assert ForecastModel(ModelConfig(variant="cnn_lstm", dilation=3), n_features=2).conv_dilation == 1
+        with pytest.raises(ParameterError, match="dilated variant's rate"):
+            ModelConfig(variant="cnn_lstm", dilation=1)
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):

@@ -173,7 +173,8 @@ def artifacts(monkeypatch):
 
 
 def canned_cli(outputs: dict):
-    """A stand-in for subprocess.run: each CLI command writes outputs[(checkout name, command)], name -> bytes."""
+    """A stand-in for subprocess.run: each CLI command writes outputs[(checkout name, command)], name -> bytes,
+    and then outputs[(checkout name, output directory, command)]."""
     commands = []
 
     def run(cmd, cwd, env, **kw):
@@ -189,13 +190,27 @@ def canned_cli(outputs: dict):
             assert doc == {}
         else:
             assert doc["data"]["source"] == "synthetic"
+            assert doc["model"].get("dilation") == (3 if out.name == "d3" else None)
         out.mkdir(exist_ok=True)
         commands.append((root.name, out.relative_to(work).as_posix(), *cmd[3:cmd.index("--config")]))
-        for name, data in outputs.get((root.name, cmd[3]), {}).items():
+        own = outputs.get((root.name, out.relative_to(work).as_posix(), cmd[3]), {})
+        for name, data in (outputs.get((root.name, cmd[3]), {}) | own).items():
             (out / name).write_bytes(data)
         return subprocess.CompletedProcess(cmd, 0)
 
     return run, commands
+
+
+def d3_outputs(rate=3):
+    """Canned c9 and d3 compare rows of both sides, d3 moving c9's two dilated rows alone, and d3's checkpoint."""
+    labels = ["RR-CNN", "RR-DILATED_CNN-LSTM", "SCAD-DILATED_CNN-LSTM"]
+    outputs = {}
+    for side in ("parent", "change"):
+        for out, mses in (("c9", (1, 1, 1)), ("d3", (1, 2, 2))):
+            rows = "".join(f"{label},4,{mse}\n" for label, mse in zip(labels, mses))
+            outputs[(side, out, "compare")] = {"comparison_per_seed.csv": ("label,seed,mse\n" + rows).encode()}
+        outputs[(side, "d3", "train")] = {"checkpoint.json": json.dumps({"config": {"dilation": rate}}).encode()}
+    return outputs
 
 
 @pytest.mark.parametrize(
@@ -207,7 +222,7 @@ def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_
                                                                 change_train, code, verdict):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
-    outputs = {(side, "synth"): {"panel.csv": b"date,price\n"} for side in ("parent", "change")}
+    outputs = d3_outputs() | {(side, "synth"): {"panel.csv": b"date,price\n"} for side in ("parent", "change")}
     for side in ("parent", "change"):
         outputs[(side, "select")] = {"scad_selection.json": json.dumps({"penalty": {"lam": 0.1 + 0.2}}).encode()}
     outputs[("parent", "train")] = {"model.json": b"m"}
@@ -216,20 +231,47 @@ def test_artifacts_compares_every_file_and_fails_on_a_difference(artifacts, tmp_
     monkeypatch.setattr(subprocess, "run", run)
     assert artifacts.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]) == code
     steps = [(out, *argv) for out, argv in artifacts.STEPS]
-    steps[-1] = ("full/fixed", "select", "--lambda", "0.30000000000000004")  # the tuned lambda, round-tripped
+    steps[11] = ("full/fixed", "select", "--lambda", "0.30000000000000004")  # the tuned lambda, round-tripped
     assert commands == [("parent", *step) for step in steps] + [("change", *step) for step in steps]
     assert [s[:2] for s in steps[:5]] == [("c9", c) for c in ("synth", "select", "train", "evaluate", "compare")]
     assert artifacts.STEPS[5:7] == [("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"])]
     assert steps[7:10] == [("csv", c) for c in ("select", "train", "evaluate")]
-    assert artifacts.STEPS[10:] == [("full", ["select"]), ("full/fixed", ["select", "--lambda", artifacts.TUNED_LAMBDA])]
+    assert artifacts.STEPS[10:12] == [("full", ["select"]),
+                                      ("full/fixed", ["select", "--lambda", artifacts.TUNED_LAMBDA])]
+    assert steps[12:] == [("d3", c) for c in ("compare", "train", "evaluate")]
+    d3 = "checkpoint dilation 3; compare rows that differ from c9's: RR-DILATED_CNN-LSTM, SCAD-DILATED_CNN-LSTM"
     assert capsys.readouterr().out.splitlines() == [
+        "c9/comparison_per_seed.csv: identical",
         "c9/model.json: " + verdict,
         "c9/panel.csv: identical",
         "c9/scad_selection.json: identical",
         "cnn/model.json: " + verdict,
         "csv/model.json: " + verdict,
         "csv/scad_selection.json: identical",
+        "d3/checkpoint.json: identical",
+        "d3/comparison_per_seed.csv: identical",
+        "d3/model.json: " + verdict,
         "full/fixed/scad_selection.json: identical",
         "full/scad_selection.json: identical",
-        f"{code * 3} of 8 output files differ",
+        f"{code * 4} of 12 output files differ",
+        "d3 on the parent: " + d3,
+        "d3 on the change: " + d3,
+    ]
+
+
+def test_artifacts_fails_when_d3_trains_at_another_rate(artifacts, tmp_path, monkeypatch, capsys):
+    """Identical files on both sides still exit 1 when d3's checkpoints do not hold dilation 3."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    outputs = d3_outputs(rate=2)
+    for side in ("parent", "change"):
+        outputs[(side, "select")] = {"scad_selection.json": json.dumps({"penalty": {"lam": 0.5}}).encode()}
+    monkeypatch.setattr(subprocess, "run", canned_cli(outputs)[0])
+    assert artifacts.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "0 of 7 output files differ",
+        "d3 on the parent: checkpoint dilation 2; compare rows that differ from c9's: "
+        "RR-DILATED_CNN-LSTM, SCAD-DILATED_CNN-LSTM",
+        "d3 on the change: checkpoint dilation 2; compare rows that differ from c9's: "
+        "RR-DILATED_CNN-LSTM, SCAD-DILATED_CNN-LSTM",
     ]

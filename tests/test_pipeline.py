@@ -573,7 +573,8 @@ class TestRunCells:
         ]
         assert [r.model.config.seed for r in results] == [s + 7919 * k for s in (4, -2) for k in range(3)]
         assert [r.model.config.variant for r in results] == ["lstm", "cnn", "dilated_cnn_lstm"] * 2
-        assert [r.model.config.dilation for r in results] == [1, 1, 3] * 2
+        assert [r.model.config.dilation for r in results] == [3] * 6
+        assert [r.model.conv_dilation for r in results] == [1, 1, 3] * 2
         assert all(r.test is split[2] and r.scaler is split[0] for r in results)
 
     def test_compare_rows_score_the_kept_forecasts(self, small_panel, monkeypatch):

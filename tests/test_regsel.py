@@ -22,6 +22,11 @@ class TestPenaltySpec:
         with pytest.raises(ParameterError):
             PenaltySpec("lasso", -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_lambda_that_is_not_finite_rejected(self, lam):
+        with pytest.raises(ParameterError, match="finite number >= 0"):
+            PenaltySpec("lasso", lam)
+
     def test_scad_needs_a_above_two(self):
         with pytest.raises(ParameterError):
             PenaltySpec("scad", 1.0, a=2.0)
@@ -72,6 +77,10 @@ class TestRidge:
     def test_lambda_zero_rejected(self):
         with pytest.raises(ParameterError):
             regsel.ridge_fit(np.eye(2), [1.0, 2.0], lam=0.0)
+
+    def test_lambda_nan_rejected(self):
+        with pytest.raises(ParameterError, match="ridge requires lam > 0, got nan"):
+            regsel.ridge_fit(np.eye(2), [1.0, 2.0], lam=float("nan"))
 
     def test_normal_equation_residual(self, rng):
         x = rng.standard_normal((50, 5))

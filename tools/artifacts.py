@@ -12,8 +12,13 @@ wrote, so the CSV parse path is compared too. A fourth runs select on
 the default config (1060 days, 20 grid points), which reaches the dense
 end of the lambda path that the tiny panel never does, and then, in its
 ``fixed`` subdirectory, ``select --lambda`` at the lambda that tuned
-select chose. It prints one line per output file, and exits 1 if any
-file differs or is written on one side only.
+select chose. A fifth, ``d3``, runs compare (which runs the selection it
+needs), train and evaluate on the c9 config with ``model.dilation: 3``.
+It prints one line per output file, and exits 1 if any file differs or
+is written on one side only. It also prints, for each side, the dilation
+of d3's checkpoint and the compare rows of d3 that differ from c9's
+(dilation 2), and exits 1 unless these are 3 and the two dilated cells
+alone.
 """
 from __future__ import annotations
 
@@ -32,25 +37,29 @@ CONFIG = {
               "epochs": 2, "batch_size": 16, "seed": 7},
     "seeds": [4],
 }
+DILATED_CELLS = ["RR-DILATED_CNN-LSTM", "SCAD-DILATED_CNN-LSTM"]
 TUNED_LAMBDA = "<lambda of full/scad_selection.json>"  # a STEPS argument, read when its step runs
 # (output directory, command and flags), run in order; the "csv" directory's config reads c9/panel.csv,
-# and the "full" directory's is the default config
+# the "full" directory's is the default config, and the "d3" directory's is CONFIG with dilation 3
 STEPS = [("c9", ["synth"]), ("c9", ["select"]), ("c9", ["train"]), ("c9", ["evaluate"]), ("c9", ["compare"]),
          ("cnn", ["train", "--variant", "cnn", "--all-features"]), ("cnn", ["evaluate"]),
          ("csv", ["select"]), ("csv", ["train"]), ("csv", ["evaluate"]),
-         ("full", ["select"]), ("full/fixed", ["select", "--lambda", TUNED_LAMBDA])]
+         ("full", ["select"]), ("full/fixed", ["select", "--lambda", TUNED_LAMBDA]),
+         ("d3", ["compare"]), ("d3", ["train"]), ("d3", ["evaluate"])]
 
 
 def produce(root: Path, work: Path) -> dict[str, bytes]:
     """Every file that STEPS write in checkout `root`, by its path under `work`, and its bytes."""
     work.mkdir()
     csv_data = {"source": "csv", "csv_paths": [str(work / "c9" / "panel.csv")], "target_column": "price"}
-    configs = {"config.json": CONFIG, "csv-config.json": CONFIG | {"data": csv_data}, "full-config.json": {}}
+    configs = {"config.json": CONFIG, "csv-config.json": CONFIG | {"data": csv_data}, "full-config.json": {},
+               "d3-config.json": CONFIG | {"model": CONFIG["model"] | {"dilation": 3}}}
     for name, doc in configs.items():
         (work / name).write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    own = {"csv": "csv-config.json", "full": "full-config.json", "d3": "d3-config.json"}
     for out, argv in STEPS:
-        cfg = work / {"csv": "csv-config.json", "full": "full-config.json"}.get(out.split("/")[0], "config.json")
+        cfg = work / own.get(out.split("/")[0], "config.json")
         if TUNED_LAMBDA in argv:
             tuned = json.loads((work / "full" / "scad_selection.json").read_text())["penalty"]["lam"]
             argv = [repr(tuned) if a == TUNED_LAMBDA else a for a in argv]
@@ -77,6 +86,13 @@ def compare_lines(parent: dict[str, bytes], change: dict[str, bytes]) -> tuple[l
     return lines, differ
 
 
+def d3_rates(files: dict[str, bytes]) -> tuple[int, list[str]]:
+    """(dilation of d3's checkpoint, labels of d3's compare rows that differ from c9's) in one side's files."""
+    rows = {out: files[f"{out}/comparison_per_seed.csv"].decode().splitlines()[1:] for out in ("c9", "d3")}
+    moved = [d3.split(",")[0] for d3, c9 in zip(rows["d3"], rows["c9"]) if d3 != c9]
+    return json.loads(files["d3/checkpoint.json"])["config"]["dilation"], moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -88,7 +104,10 @@ def main(argv=None) -> int:
     lines, differ = compare_lines(*files)
     print("\n".join(lines))
     print(f"{differ} of {len(lines)} output files differ")
-    return 1 if differ else 0
+    rates = [d3_rates(side) for side in files]
+    for side, (rate, moved) in zip(("parent", "change"), rates):
+        print(f"d3 on the {side}: checkpoint dilation {rate}; compare rows that differ from c9's: {', '.join(moved)}")
+    return 1 if differ or any(r != (3, DILATED_CELLS) for r in rates) else 0
 
 
 if __name__ == "__main__":
